@@ -9,10 +9,11 @@
 // histograms from the obs layer), a telemetry-overhead section pins the
 // registry's warm-hit cost at <= 2%, a range-decode sweep pins the guarded
 // SIMD kernels at >= 1.5x over the scalar path on vector-capable hosts, a
+// stream size sweep pins stream production as linear in the wire (the
+// streamed/materialized time ratio stays flat from 512 KiB to 8 MiB), a
 // stream-concurrency section pins 1k live streams at < 2x
-// hardware_concurrency added threads (producers are executor tasks, not
-// threads), and the server's full metrics snapshot is embedded in the JSON
-// report. `--net` adds a loopback section: the same
+// hardware_concurrency added threads (a stream is a cursor, not a thread),
+// and the server's full metrics snapshot is embedded in the JSON report. `--net` adds a loopback section: the same
 // server behind the epoll daemon (src/net), with concurrent client
 // connections measuring socket round-trip p50/p99/p999 against the
 // in-process baseline, plus v2 streamed bulk throughput over real sockets.
@@ -41,7 +42,6 @@
 #include "serve/session.hpp"
 #include "serve/shard_router.hpp"
 #include "serve/store.hpp"
-#include "util/executor.hpp"
 #include "util/xoshiro.hpp"
 #include "workload/traffic.hpp"
 
@@ -606,11 +606,11 @@ int main(int argc, char** argv) {
                     100.0 * best_byte_hit_rate, 100.0 * lru_byte_hit_rate);
     }
 
-    // --- streamed vs materialized production: peak bytes held by the
-    // producer. The materialized path must hold the whole wire; the
-    // streaming pipeline emits borrowed views segment at a time behind a
-    // flow-control window, so its owned footprint is O(max frame + largest
-    // structural section) regardless of asset size.
+    // --- streamed vs materialized production: peak bytes held. The
+    // materialized path must hold the whole wire; a solo stream keeps only
+    // the producer's piece list (borrowed payload views plus the small
+    // structural sections), so its owned footprint is O(max frame +
+    // structural sections) regardless of asset size.
     {
         const u64 chunk_bytes = std::max<u64>(size / 40, 4096);
         stream::ChunkedEncoder enc({11, 16});
@@ -635,8 +635,7 @@ int main(int argc, char** argv) {
         // Frame size scaled to the workload so --quick still exercises a
         // many-frame stream with a meaningful wire/frame ratio.
         sopt.max_frame_bytes = std::clamp<u64>(wire / 24, 4096, 64 * 1024);
-        sopt.window_bytes = 4 * sopt.max_frame_bytes;
-        sopt.use_cache = false;  // no cache assembly: the bounded regime
+        sopt.use_cache = false;  // no materialized wire: the bounded regime
         const auto frame_h0 = server_hist(server, "stream_frame_seconds");
         Stopwatch stream_sw;
         auto stream = server.serve_stream(req, sopt);
@@ -646,18 +645,14 @@ int main(int argc, char** argv) {
         auto streamed = client.result();
         const bool exact = streamed.ok() && *streamed.wire == *materialized.wire;
         const u64 peak_owned = stream.peak_owned_bytes();
-        const u64 peak_staged = stream.peak_staged_bytes();
         std::printf(
             "streamed vs materialized (chunked asset, %llu B wire):\n"
             "  materialized producer holds %llu B (the wire) in %.2f ms\n"
-            "  streamed producer holds %llu B owned / %llu B staged "
-            "(window %llu B) in %.2f ms\n"
+            "  streamed producer holds %llu B owned in %.2f ms\n"
             "  peak-memory ratio: %.0fx smaller, %llu frames [%s]\n\n",
             static_cast<unsigned long long>(wire),
             static_cast<unsigned long long>(wire), mat_s * 1e3,
-            static_cast<unsigned long long>(peak_owned),
-            static_cast<unsigned long long>(peak_staged),
-            static_cast<unsigned long long>(sopt.window_bytes), stream_s * 1e3,
+            static_cast<unsigned long long>(peak_owned), stream_s * 1e3,
             static_cast<double>(wire) / static_cast<double>(peak_owned),
             static_cast<unsigned long long>(stream.frames_emitted()),
             exact ? "bit-exact" : "MISMATCH");
@@ -678,35 +673,130 @@ int main(int argc, char** argv) {
             "streamed",
             "{\"wire_bytes\": " + JsonReport::num(wire) +
                 ", \"peak_owned_bytes\": " + JsonReport::num(peak_owned) +
-                ", \"peak_staged_bytes\": " + JsonReport::num(peak_staged) +
-                ", \"window_bytes\": " + JsonReport::num(sopt.window_bytes) +
                 ", \"materialized_ms\": " + JsonReport::num(mat_s * 1e3) +
                 ", \"streamed_ms\": " + JsonReport::num(stream_s * 1e3) +
                 ", \"frame_latency\": " + pct_json(frame_lat) + "}");
     }
 
-    // --- stream-concurrency scaling: producers are resumable tasks on the
-    // work-stealing executor (docs/executor.md), so a live stream costs a
-    // state machine, not an OS thread. Open 1k concurrent solo streams
-    // (use_cache=false: no coalescing, every stream its own producer), pull
-    // each one's header + first body frame so every producer has started
-    // and yielded on its full window, and hold the process thread count
-    // against the executor's worker pool. Acceptance: the whole fleet adds
-    // fewer than 2x hardware_concurrency threads over the warmed baseline.
+    // --- stream size sweep: production is one pass over the wire, so the
+    // streamed/materialized time ratio must not grow with size. Incompress-
+    // ible assets put the wire at ~1 byte per symbol; each point times a
+    // cold materialized serve() against a solo stream drained to its FIN
+    // (median of several runs, more for the small sizes). Acceptance: the
+    // ratio at 8 MiB is at most 1.5x the ratio at 512 KiB — a producer that
+    // re-ran the serializer per flow-control window (O(wire^2 / window))
+    // fails it.
+    {
+        const u64 frame_bytes = 64 * 1024;
+        std::string points_json = "[";
+        double first_ratio = 0, last_ratio = 0;
+        std::printf("stream size sweep (%llu B frames):\n",
+                    static_cast<unsigned long long>(frame_bytes));
+        std::printf("  %10s %14s %12s %8s\n", "wire B", "materialized ms",
+                    "streamed ms", "ratio");
+        for (const u64 nsyms : {u64{1} << 19, u64{1} << 21, u64{1} << 23}) {
+            std::vector<u8> raw(nsyms);
+            Xoshiro256 srng(nsyms);
+            for (u8& b : raw) b = static_cast<u8>(srng());
+            const std::string name = "sweep" + std::to_string(nsyms);
+            server.store().encode_bytes(name, raw, 64);
+            const ServeRequest req{name, 64, std::nullopt,
+                                   kAcceptAll | kAcceptStreamed};
+            StreamOptions sopt;
+            sopt.max_frame_bytes = frame_bytes;
+            sopt.use_cache = false;
+            const int reps = static_cast<int>(
+                std::clamp<u64>((u64{32} << 20) / nsyms, 3, 33));
+            std::vector<double> mat_ms, str_ms;
+            WireBytes reference;
+            std::vector<std::vector<u8>> frames;
+            for (int r = 0; r < reps; ++r) {
+                server.cache().clear();
+                Stopwatch mat_sw;
+                auto res = server.serve(req);
+                mat_ms.push_back(mat_sw.seconds() * 1e3);
+                if (!res.ok()) {
+                    std::fprintf(stderr, "sweep serve failed: %s\n",
+                                 res.detail.c_str());
+                    return 1;
+                }
+                reference = res.wire;
+                frames.clear();
+                Stopwatch str_sw;
+                auto stream = server.serve_stream(req, sopt);
+                while (auto fr = stream.next_frame())
+                    frames.push_back(std::move(*fr));
+                str_ms.push_back(str_sw.seconds() * 1e3);
+            }
+            StreamReassembler re(frame_bytes);
+            for (const auto& fr : frames) re.feed(fr);
+            const ServeResult got = re.result();
+            if (!got.ok() || *got.wire != *reference) {
+                std::fprintf(stderr, "sweep stream mismatch at %llu B\n",
+                             static_cast<unsigned long long>(
+                                 reference->size()));
+                return 1;
+            }
+            server.store().erase(name);
+            server.cache().clear();
+            std::sort(mat_ms.begin(), mat_ms.end());
+            std::sort(str_ms.begin(), str_ms.end());
+            const double mat = mat_ms[mat_ms.size() / 2];
+            const double str = str_ms[str_ms.size() / 2];
+            const double ratio = str / std::max(mat, 1e-9);
+            if (first_ratio == 0) first_ratio = ratio;
+            last_ratio = ratio;
+            std::printf("  %10llu %14.3f %12.3f %8.2f\n",
+                        static_cast<unsigned long long>(reference->size()),
+                        mat, str, ratio);
+            if (points_json.size() > 1) points_json += ", ";
+            points_json += "{\"wire_bytes\": " +
+                           JsonReport::num(u64{reference->size()}) +
+                           ", \"materialized_ms\": " + JsonReport::num(mat) +
+                           ", \"streamed_ms\": " + JsonReport::num(str) +
+                           ", \"ratio\": " + JsonReport::num(ratio) + "}";
+        }
+        points_json += "]";
+        const double growth = last_ratio / first_ratio;
+        const bool flat = growth <= 1.5;
+        std::printf("  ratio growth 512 KiB -> 8 MiB: %.2fx (acceptance: "
+                    "<= 1.5x) [%s]\n\n",
+                    growth, flat ? "ok" : "FAIL");
+        report.field("stream_sweep",
+                     "{\"frame_bytes\": " + JsonReport::num(frame_bytes) +
+                         ", \"points\": " + points_json +
+                         ", \"ratio_growth\": " + JsonReport::num(growth) +
+                         "}");
+        if (!flat) {
+            std::fprintf(stderr,
+                         "streamed/materialized ratio grew %.2fx from the "
+                         "smallest to the largest wire — stream production "
+                         "is not linear in the wire\n",
+                         growth);
+            return 1;
+        }
+    }
+
+    // --- stream-concurrency scaling: serve_stream produces the response on
+    // the calling thread, so a live stream costs a cursor over its pieces,
+    // not an OS thread. Open 1k concurrent solo streams (use_cache=false: no
+    // coalescing, every stream its own combine), pull each one's header +
+    // first body frame, and hold the process thread count. Acceptance: the
+    // whole fleet adds fewer than 2x hardware_concurrency threads over the
+    // warmed baseline.
     {
         const u64 tiny_n = 16384;
         auto tiny = workload::gen_text(tiny_n, 99);
         server.store().encode_bytes("tiny", tiny, 16);
         StreamOptions sopt;
         sopt.max_frame_bytes = 512;
-        sopt.window_bytes = 1024;
-        sopt.use_cache = false;  // solo producers: no flight to coalesce on
+        sopt.use_cache = false;  // solo streams: no flight to coalesce on
         const ServeRequest sreq{"tiny", 4, std::nullopt,
                                 kAcceptAll | kAcceptStreamed};
         auto sref = server.serve(ServeRequest{"tiny", 4, std::nullopt});
 
-        // Warm-up drain: spins up the executor workers so the baseline
-        // thread count already includes them, and pins the reference wire.
+        // Warm-up drain: pins the reference wire before the baseline thread
+        // count is taken.
         {
             auto warm = server.serve_stream(sreq, sopt);
             StreamReassembler re(sopt.max_frame_bytes);
@@ -722,7 +812,6 @@ int main(int argc, char** argv) {
             std::max(1u, std::thread::hardware_concurrency());
         const unsigned threads_before = process_threads();
         const int nstreams = quick ? 100 : 1000;
-        const auto ex0 = util::global_executor().stats();
         std::vector<ServeStream> streams;
         streams.reserve(static_cast<std::size_t>(nstreams));
         unsigned threads_peak = threads_before;
@@ -731,7 +820,7 @@ int main(int argc, char** argv) {
             streams.push_back(server.serve_stream(sreq, sopt));
             ServeStream& s = streams.back();
             if (!s.next_frame() || !s.next_frame()) {
-                std::fprintf(stderr, "scaling stream %d stalled\n", i);
+                std::fprintf(stderr, "scaling stream %d ended early\n", i);
                 return 1;
             }
             if (i % 64 == 0)
@@ -740,9 +829,8 @@ int main(int argc, char** argv) {
         threads_peak = std::max(threads_peak, process_threads());
         const double open_s = open_sw.seconds();
 
-        // With the fleet still live and yielded, drain fresh streams to
-        // completion — the executor must still schedule new producers
-        // through 1k parked state machines — and check them bit-exact.
+        // With the fleet still live, drain fresh streams to completion and
+        // check them bit-exact.
         const int ndrain = 16;
         Stopwatch drain_sw;
         for (int i = 0; i < ndrain; ++i) {
@@ -758,24 +846,17 @@ int main(int argc, char** argv) {
         const double drain_s = drain_sw.seconds();
 
         Stopwatch abandon_sw;
-        streams.clear();  // mass abandon: producers cancel asynchronously
+        streams.clear();  // mass abandon: each stream frees its pieces
         const double abandon_s = abandon_sw.seconds();
-        const auto ex1 = util::global_executor().stats();
 
         std::printf(
             "stream scaling: %d live streams opened+first-frame in %.1f ms "
             "(%.0f streams/s), mass abandon %.1f ms\n"
-            "  threads: %u before -> %u peak (hw=%u, executor workers=%u); "
-            "tasks executed %llu, stolen %llu\n"
+            "  threads: %u before -> %u peak (hw=%u)\n"
             "  %d full drains through the live fleet in %.1f ms, bit-exact\n",
             nstreams, open_s * 1e3, nstreams / std::max(open_s, 1e-9),
-            abandon_s * 1e3, threads_before, threads_peak, hw,
-            ex1.workers,
-            static_cast<unsigned long long>(ex1.executed_total -
-                                            ex0.executed_total),
-            static_cast<unsigned long long>(ex1.stolen_total -
-                                            ex0.stolen_total),
-            ndrain, drain_s * 1e3);
+            abandon_s * 1e3, threads_before, threads_peak, hw, ndrain,
+            drain_s * 1e3);
         const bool threads_ok =
             threads_before == 0 || threads_peak < threads_before + 2 * hw;
         std::printf("  thread growth under %d streams: +%u (acceptance: "
@@ -788,18 +869,13 @@ int main(int argc, char** argv) {
                 ", \"threads_before\": " + JsonReport::num(u64{threads_before}) +
                 ", \"threads_peak\": " + JsonReport::num(u64{threads_peak}) +
                 ", \"hardware_concurrency\": " + JsonReport::num(u64{hw}) +
-                ", \"executor_workers\": " + JsonReport::num(u64{ex1.workers}) +
                 ", \"open_ms\": " + JsonReport::num(open_s * 1e3) +
                 ", \"drain_ms\": " + JsonReport::num(drain_s * 1e3) +
-                ", \"abandon_ms\": " + JsonReport::num(abandon_s * 1e3) +
-                ", \"tasks_executed\": " +
-                JsonReport::num(ex1.executed_total - ex0.executed_total) +
-                ", \"tasks_stolen\": " +
-                JsonReport::num(ex1.stolen_total - ex0.stolen_total) + "}");
+                ", \"abandon_ms\": " + JsonReport::num(abandon_s * 1e3) + "}");
         if (!threads_ok) {
             std::fprintf(stderr,
                          "stream fleet grew the thread count by %u (>= 2x "
-                         "hardware_concurrency) — executor scaling "
+                         "hardware_concurrency) — stream scaling "
                          "acceptance failed\n",
                          threads_peak - threads_before);
             return 1;

@@ -58,7 +58,7 @@ int usage() {
                  "usage: recoil_served [--store DIR] [--port N] [--bind ADDR]\n"
                  "                     [--cache-policy NAME] [--mem-budget SZ]\n"
                  "                     [--max-conns N] [--idle-timeout MS]\n"
-                 "                     [--edge-triggered] [--seed-demo]\n"
+                 "                     [--seed-demo]\n"
                  "                     [--shards N] [--loops N]\n"
                  "                     [--rebalance-every N]\n");
     return 2;
@@ -68,10 +68,9 @@ int run_daemon(net::Daemon& daemon, const net::DaemonOptions& dopt) {
     g_daemon = &daemon;
     std::signal(SIGTERM, on_signal);
     std::signal(SIGINT, on_signal);
-    std::printf("recoil_served listening on %s:%u (%s-triggered, %u loop%s"
+    std::printf("recoil_served listening on %s:%u (%u loop%s"
                 "%s, max-conns %u, idle-timeout %lld ms)\n",
-                dopt.bind_address.c_str(), daemon.port(),
-                dopt.edge_triggered ? "edge" : "level", dopt.loops,
+                dopt.bind_address.c_str(), daemon.port(), dopt.loops,
                 dopt.loops == 1 ? "" : "s",
                 dopt.loops > 1
                     ? (daemon.reuseport() ? ", reuseport" : ", hand-off")
@@ -136,8 +135,6 @@ int main(int argc, char** argv) {
         } else if (std::strcmp(argv[i], "--idle-timeout") == 0) {
             dopt.idle_timeout =
                 std::chrono::milliseconds(std::atoi(need("--idle-timeout")));
-        } else if (std::strcmp(argv[i], "--edge-triggered") == 0) {
-            dopt.edge_triggered = true;
         } else if (std::strcmp(argv[i], "--seed-demo") == 0) {
             seed_demo = true;
         } else if (std::strcmp(argv[i], "--shards") == 0) {

@@ -8,13 +8,13 @@
 // request frame in, response frame out — so a network frontend needs no
 // knowledge of assets or caching.
 //
-// serve_stream() is the pull-based side of the same pipeline: the response
-// is produced segment at a time through the asset's WireSink producer and
-// framed as v2 streamed messages, so peak frontend memory is bounded by the
-// frame size and the flow-control window, not by the wire. The materializing
-// serve() path is a thin adapter over the same producers (Asset::combine /
-// Asset::range materialize through a VectorSink) — one producer
-// implementation, two framings.
+// serve_stream() is the streamed side of the same pipeline: it produces the
+// whole response once, when called, as the asset's WireSink pieces (small
+// owned structural sections plus borrowed views of the payload), and the
+// returned ServeStream is a cursor that frames those pieces as v2 streamed
+// messages. Cacheable streams share serve()'s cache, single-flight and
+// combine path; solo streams keep only the piece list, so owned memory stays
+// at the structural sections. One producer implementation, two framings.
 
 #include <atomic>
 #include <deque>
@@ -79,30 +79,26 @@ struct StreamOptions {
     /// Body-frame payload ceiling; frames over it are never produced
     /// (encode-side frame_too_large enforcement happens below this).
     u64 max_frame_bytes = kDefaultMaxFrameBytes;
-    /// Flow-control window: at most this many wire bytes sit admitted-but-
-    /// unconsumed at once; past it the producer task yields until the
-    /// consumer drains — bounded in-flight bytes regardless of asset size.
-    /// Clamped up to max_frame_bytes.
-    u64 window_bytes = u64{4} << 20;
-    /// When false the stream never assembles a cache entry: peak producer
-    /// memory stays O(max_frame), the regime for responses too large to be
-    /// worth caching. Such streams do not coalesce (nothing shareable is
-    /// assembled) and do not consult the cache.
+    /// When false the stream never materializes a wire: it keeps only the
+    /// producer's piece list, so owned memory stays at the structural
+    /// sections (payload pieces are borrowed views) — the regime for
+    /// responses too large to be worth caching. Such streams do not
+    /// coalesce (nothing shareable is built) and do not consult the cache.
     bool use_cache = true;
-    /// Adaptive frame sizing: while a cold producer-backed stream is still
-    /// emitting the metadata-dense structural prefix (header, model, split
-    /// plan — owned pieces), frames are capped at prefix_frame_bytes so a
-    /// client can start planning its decode early; the frame that would
-    /// first carry payload-view bytes flushes the prefix, and payload
-    /// frames run at max_frame_bytes. Cache-hit and coalesced-follower
-    /// replays are unaffected (their wire already exists in full; uniform
-    /// max-size frames move it fastest). Reassembly is framing-agnostic, so
-    /// the wire stays bit-exact either way.
+    /// Adaptive frame sizing: while the cursor is still on the metadata-
+    /// dense structural prefix (header, model, split plan — owned pieces),
+    /// frames are capped at prefix_frame_bytes so a client can start
+    /// planning its decode early; the frame that would first carry borrowed
+    /// payload bytes flushes the prefix, and payload frames run at
+    /// max_frame_bytes. Cache-hit and coalesced-follower replays are one
+    /// borrowed piece, so they run at max_frame_bytes from the first byte.
+    /// Reassembly is framing-agnostic, so the wire stays bit-exact either
+    /// way.
     bool adaptive_frames = true;
     /// Prefix-frame payload ceiling; clamped down to max_frame_bytes.
     u64 prefix_frame_bytes = kDefaultPrefixFrameBytes;
     /// Resume an interrupted stream: re-serve the same deterministic wire
-    /// but skip the first resume_offset body-payload bytes, hashing the
+    /// but seek past the first resume_offset body-payload bytes, hashing the
     /// skipped prefix into the running digest so the FIN's whole-wire
     /// checksum still covers prefix + tail (a reconnecting client that
     /// kept its reassembler validates the reunited wire bit-exactly).
@@ -117,12 +113,12 @@ struct Flight;
 }  // namespace detail
 
 /// A streamed response: pull protocol frames one at a time (header frame,
-/// body frames, FIN frame, then nullopt). next_frame() may block on the
-/// producer (or, for a coalesced follower, on the leader's progress) — the
-/// consumer's pull pace IS the backpressure. The stream pins its asset (and
-/// therefore every mmapped buffer its segments view), so unload()/evict()
-/// mid-stream never invalidates in-flight segments. Must not outlive the
-/// ContentServer that created it.
+/// body frames, FIN frame, then nullopt). The response was produced in full
+/// by serve_stream(), so next_frame() never blocks: it only frames the next
+/// slice of the piece list. The stream pins its asset (and therefore every
+/// mmapped buffer its pieces view), so unload()/evict() mid-stream never
+/// invalidates in-flight pieces. Must not outlive the ContentServer that
+/// created it.
 class ServeStream {
 public:
     ~ServeStream();
@@ -131,37 +127,25 @@ public:
     ServeStream(const ServeStream&) = delete;
     ServeStream& operator=(const ServeStream&) = delete;
 
-    /// Status + stats known at stream start; `wire` is always null. For a
-    /// cold stream, splits/wire_bytes arrive in the FIN frame instead.
+    /// Status + stats of the response (splits and wire_bytes included);
+    /// `wire` is always null.
     const ServeResult& head() const noexcept;
     /// The next protocol frame, or nullopt once the stream is complete. An
     /// error response is a single header frame.
     std::optional<std::vector<u8>> next_frame();
-    /// Non-blocking next_frame for event-loop transports (the epoll daemon
-    /// pulls a frame only when its socket is writable): a frame when one can
-    /// be built without waiting on the producer/leader, else nullopt with
-    /// `would_block` distinguishing "not ready yet" (true) from "stream
-    /// complete" (false). Frame boundaries may differ from a fully blocking
-    /// pull (pace decides where partial frames flush); the reassembled wire
-    /// is identical either way.
-    std::optional<std::vector<u8>> try_next_frame(bool& would_block);
     bool done() const noexcept;
     u64 frames_emitted() const noexcept;
-    /// High-water mark of owned bytes the producer pipeline held at once
-    /// (staged structural sections + the frame under construction). Payload
-    /// views pinning existing asset storage cost no new memory and are
-    /// excluded; this is the number the bench compares against wire size.
+    /// High-water mark of owned bytes the stream held at once (owned
+    /// structural pieces not yet sent + the frame under construction).
+    /// Payload views pinning existing asset storage cost no new memory and
+    /// are excluded; this is the number the bench compares against wire
+    /// size.
     u64 peak_owned_bytes() const noexcept;
-    /// High-water mark of produced-but-unconsumed wire bytes (the flow
-    /// control window's measured utilization; <= window + one frame).
-    u64 peak_staged_bytes() const noexcept;
 
 private:
     friend class ContentServer;
-    explicit ServeStream(std::shared_ptr<detail::StreamState> st);
-    std::optional<std::vector<u8>> frame_impl(bool allow_block,
-                                              bool& would_block);
-    std::shared_ptr<detail::StreamState> st_;
+    explicit ServeStream(std::unique_ptr<detail::StreamState> st);
+    std::unique_ptr<detail::StreamState> st_;
 };
 
 namespace detail {
@@ -172,23 +156,7 @@ namespace detail {
 /// lets one thread's catch-scope destruction race another's what() read
 /// (caught by TSan). Each follower throws its own ProtocolError built
 /// from the immutable-after-done fields.
-///
-/// A STREAMING leader additionally publishes the wire incrementally:
-/// bytes [0, committed) of *assembling are stable and readable under mu,
-/// so followers replay already-emitted segments while the leader is still
-/// producing, instead of parking until the end. On completion `assembling`
-/// becomes the shared wire without copying (it never mutates again).
 struct Flight {
-    /// The streaming mode (and with it the assembly buffer) is fixed at
-    /// construction, BEFORE the flight is published through the flights_
-    /// map — followers read `streaming` under mu, and a post-publication
-    /// write would be exactly the discipline hole the analysis exists to
-    /// reject.
-    explicit Flight(bool is_streaming)
-        : streaming(is_streaming),
-          assembling(is_streaming ? std::make_shared<std::vector<u8>>()
-                                  : nullptr) {}
-
     util::Mutex mu;
     util::CondVar cv;
     bool done RECOIL_GUARDED_BY(mu) = false;
@@ -196,12 +164,6 @@ struct Flight {
     bool failed RECOIL_GUARDED_BY(mu) = false;
     ErrorCode error_code RECOIL_GUARDED_BY(mu) = ErrorCode::internal;
     std::string error_detail RECOIL_GUARDED_BY(mu);
-    // Streaming-leader incremental assembly. The pointer is immutable; the
-    // pointed-to vector grows only under mu (bytes [0, committed) are
-    // stable and readable under mu).
-    const bool streaming;
-    const std::shared_ptr<std::vector<u8>> assembling;
-    u64 committed RECOIL_GUARDED_BY(mu) = 0;
 };
 
 }  // namespace detail
@@ -209,12 +171,6 @@ struct Flight {
 class ContentServer {
 public:
     explicit ContentServer(ServerOptions opt = {});
-    /// Blocks until every outstanding stream producer task has finished —
-    /// including background drains from abandoned leader streams — so a
-    /// producer task on the executor can never touch a dead server.
-    /// ServeStream objects themselves must still not be *used* past this
-    /// point.
-    ~ContentServer() RECOIL_EXCLUDES(streams_mu_);
 
     AssetStore& store() noexcept { return store_; }
     MetadataCache& cache() noexcept { return cache_; }
@@ -240,9 +196,10 @@ public:
     /// Serve one request as a pull-based stream of v2 frames. Requires the
     /// request to accept the streamed framing (kAcceptStreamed), on top of
     /// the payload form it would need for serve(). Never throws; failures
-    /// are a single typed header frame. Cold cacheable streams single-flight
-    /// with concurrent serve()/serve_stream() calls for the same key:
-    /// followers replay the leader's already-emitted bytes.
+    /// are a single typed header frame. The response is produced here, on
+    /// the calling thread: cacheable streams go through serve()'s cache and
+    /// single-flight path (a follower waits on the leader's combine, then
+    /// replays the shared wire), solo streams combine into a piece list.
     ServeStream serve_stream(const ServeRequest& req,
                              StreamOptions opt = {}) noexcept;
 
@@ -288,9 +245,9 @@ public:
     Totals totals() const noexcept;
 
 private:
-    friend struct detail::StreamState;
-    friend class ServeStream;  // FIN-time totals accounting
+    friend class ServeStream;  // stream trace recording
     using Flight = detail::Flight;
+    using WirePieces = std::deque<format::ByteBuffer>;
 
     /// A validated request, ready to produce: shared by the materializing
     /// and streaming paths so negotiation/validation cannot diverge.
@@ -305,21 +262,30 @@ private:
     /// Resolve + validate + negotiate. Throws ProtocolError (typed) on any
     /// failure; counts the request in range_requests_ when applicable.
     Prepared prepare(const ServeRequest& req);
-    /// Run the prepared production into `sink`; returns splits carried.
-    u32 produce(const Prepared& p, format::WireSink& sink);
+    /// A miss combine: run the combine_hook, then the prepared production
+    /// into `pieces` under a "combine" span; returns the splits carried.
+    u32 produce(const Prepared& p, WirePieces& pieces,
+                obs::TraceContext* trace);
 
     ServeResult serve_impl(const ServeRequest& req, obs::TraceContext& trace);
     /// Cache lookup + single-flight combine for one response key. `asset`
     /// is the asset the key was derived from: after the combine, the wire
     /// enters the cache only if that asset is still current (the
     /// evict-during-flight stale-put gate). `trace` may be null (telemetry
-    /// off): spans are then skipped but behavior is identical.
+    /// off): spans are then skipped but behavior is identical. When this
+    /// caller runs the combine and `pieces` is non-null, the combine's piece
+    /// list is moved into it (a streaming leader frames from the pieces);
+    /// otherwise `pieces` stays empty and only the shared wire is returned.
     ServedWire serve_shared(const Prepared& p, ServeStats& stats,
-                            obs::TraceContext* trace);
+                            obs::TraceContext* trace,
+                            WirePieces* pieces = nullptr);
+    /// Bump the totals for one successfully served response (serve() and
+    /// serve_stream() alike).
+    void count_served(const ServeStats& stats) noexcept;
     /// Insert-or-join the flight for `flight_key`. True when this caller
     /// is the leader (it must eventually retire the flight).
     bool acquire_flight(const std::string& flight_key,
-                        std::shared_ptr<Flight>& flight, bool streaming)
+                        std::shared_ptr<Flight>& flight)
         RECOIL_EXCLUDES(flights_mu_);
     /// Remove the flight from the map, publish its outcome (wire when
     /// non-null, else the typed failure) and wake every parked follower.
@@ -355,7 +321,7 @@ private:
     /// qualifies (slow enough, or failed).
     void finish_trace(const obs::TraceContext& trace, const ServeResult& res);
     /// Record a finished stream (FIN emitted or error header) likewise.
-    void record_stream_trace(detail::StreamState& st);
+    void record_stream_trace(const detail::StreamState& st);
     /// Answer a "!metrics"/"!metrics.json" introspection request against
     /// the registry (requires kAcceptMetrics; typed errors otherwise).
     ServeResult serve_introspection(const ServeRequest& req) noexcept;
@@ -367,11 +333,6 @@ private:
     util::Mutex flights_mu_;
     std::unordered_map<std::string, std::shared_ptr<Flight>> flights_
         RECOIL_GUARDED_BY(flights_mu_);
-    /// Outstanding serve_stream producer tasks (on the process-wide
-    /// executor — no dedicated threads); the destructor waits for zero.
-    util::Mutex streams_mu_;
-    util::CondVar streams_cv_;
-    u64 active_stream_producers_ RECOIL_GUARDED_BY(streams_mu_) = 0;
     /// The totals block below is all relaxed atomics — the documented
     /// lock-free escape for the serve hot path (totals()/sampling/metrics
     /// callbacks read them without any lock).

@@ -10,13 +10,12 @@ Session::Session(ContentServer& server, Options opt)
       c_completed_(server.metrics().counter("session_completed_total")),
       c_failed_(server.metrics().counter("session_failed_total")),
       c_streamed_(server.metrics().counter("session_streamed_total")),
-      c_frames_(server.metrics().counter("session_frames_delivered_total")),
-      exec_(util::Executor::Options{opt.workers == 0 ? 1 : opt.workers,
-                                    "recoil-sess"}) {
-    // One long-lived loop per executor worker: the pool size IS the serve
-    // concurrency, and each loop occupies its worker for the session's life.
-    for (unsigned i = 0; i < exec_.worker_count(); ++i)
-        exec_.submit([this] { worker_loop(); });
+      c_frames_(server.metrics().counter("session_frames_delivered_total")) {
+    // One long-lived loop per worker thread: the thread count IS the serve
+    // concurrency.
+    const unsigned n = opt.workers == 0 ? 1 : opt.workers;
+    for (unsigned i = 0; i < n; ++i)
+        workers_.spawn("recoil-sess", i, [this] { worker_loop(); });
 }
 
 Session::~Session() {
@@ -25,8 +24,8 @@ Session::~Session() {
         stopping_ = true;
     }
     cv_.notify_all();
-    // ~Executor (exec_ is the last member) joins the worker loops after
-    // they observe stopping_ and drain the queue.
+    // ~NamedThreads (workers_ is the last member) joins the worker loops
+    // after they observe stopping_ and drain the queue.
 }
 
 std::shared_future<ServeResult> Session::submit(ServeRequest req, Callback cb) {

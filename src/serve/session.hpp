@@ -12,7 +12,7 @@
 #include <future>
 
 #include "serve/server.hpp"
-#include "util/executor.hpp"
+#include "util/named_threads.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace recoil::serve {
@@ -103,16 +103,10 @@ private:
     std::size_t active_ RECOIL_GUARDED_BY(mu_) = 0;  ///< tasks being served
     bool stopping_ RECOIL_GUARDED_BY(mu_) = false;
     Stats stats_ RECOIL_GUARDED_BY(mu_);
-    /// A PRIVATE executor whose only tasks are this session's N long-lived
-    /// worker loops. Those loops block (on cv_, and inside
-    /// ServeStream::next_frame), which the shared global_executor() forbids
-    /// — but on a dedicated pool whose task set is exactly the loops,
-    /// blocking starves nobody. Stream producer tasks run on the global
-    /// executor, a different pool, so a session worker parked in
-    /// next_frame() can never sit in front of the producer it waits for.
-    /// Declared last, destroyed first: the destructor's drain (which joins
-    /// the loops) runs while mu_/cv_ are still alive.
-    util::Executor exec_;
+    /// The session's N worker loops, one named thread each (they block on
+    /// cv_ between requests). Declared last, destroyed first: the join runs
+    /// while mu_/cv_ are still alive.
+    util::NamedThreads workers_;
 };
 
 }  // namespace recoil::serve

@@ -1,11 +1,10 @@
 #pragma once
 // RAII thread group for subsystems that need real OS threads but live in
 // directories where naming std::thread is banned (tools/lint.py: serve/ and
-// net/ must borrow their concurrency from util/). The two sanctioned thread
-// substrates are the work-stealing Executor — for resumable, never-blocking
-// tasks — and this helper, for loops that legitimately BLOCK in a syscall
-// (epoll_wait, accept): such a loop parked on an executor worker would
-// deadlock the pool, so it gets a dedicated named thread instead.
+// net/ must borrow their concurrency from util/). Together with the decode
+// ThreadPool it is the sanctioned thread substrate: session worker loops
+// and the daemon's event loops, which legitimately BLOCK (on a condition
+// variable, in epoll_wait), each get a dedicated named thread.
 //
 // Join discipline: join_all() (or destruction) blocks until every spawned
 // thread returns. The caller is responsible for making its loops exit —
@@ -13,13 +12,30 @@
 // threads use.
 
 #include <functional>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "util/executor.hpp"
+#if defined(__linux__)
+#include <pthread.h>
+#endif
 
 namespace recoil::util {
+
+/// Name the calling thread "<prefix>-<index>" (truncated to the kernel's
+/// 15-char limit; no-op off Linux) so profiles and slow-request logs
+/// attribute time to subsystems. Used by NamedThreads and ThreadPool.
+inline void name_current_thread(const std::string& prefix, unsigned index) {
+#if defined(__linux__)
+    std::string name = prefix + "-" + std::to_string(index);
+    if (name.size() > 15) name.resize(15);
+    pthread_setname_np(pthread_self(), name.c_str());
+#else
+    (void)prefix;
+    (void)index;
+#endif
+}
 
 class NamedThreads {
 public:

@@ -273,28 +273,6 @@ TEST_F(NetFixture, LoadThousandConcurrentConnectionsMixedBitExact) {
     EXPECT_GT(s.streamed, 0u);
 }
 
-TEST_F(NetFixture, EdgeTriggeredModeServesIdentically) {
-    DaemonOptions dopt;
-    dopt.edge_triggered = true;
-    DaemonRunner runner(server, dopt);
-    ClientOptions copt;
-    copt.port = runner.daemon.port();
-    auto v1_ref = in_process(ServeRequest{"asset", 8, {}});
-    auto range_ref = in_process(ServeRequest{"asset", 4, {{100, 9'000}}});
-    for (int i = 0; i < 8; ++i) {
-        Client c(copt);
-        auto v1 = c.request(ServeRequest{"asset", 8, {}});
-        ASSERT_TRUE(v1.ok()) << v1.detail;
-        EXPECT_EQ(*v1.wire, *v1_ref.wire);
-        auto v2 = c.request_streamed(ServeRequest{"asset", 8, {}});
-        ASSERT_TRUE(v2.ok()) << v2.detail;
-        EXPECT_EQ(*v2.wire, *v1_ref.wire);
-        auto rr = c.request(ServeRequest{"asset", 4, {{100, 9'000}}});
-        ASSERT_TRUE(rr.ok()) << rr.detail;
-        EXPECT_EQ(*rr.wire, *range_ref.wire);
-    }
-}
-
 // ---- backpressure / per-connection memory ----
 
 TEST_F(NetFixture, SlowReaderKeepsConnBufferAtMaxFrame) {

@@ -310,9 +310,7 @@ const char* const kFrozenScalars[] = {
     "session_submitted_total", "session_completed_total",
     "session_failed_total", "session_streamed_total",
     "session_frames_delivered_total",
-    "simd_backend", "executor_workers", "executor_queued_tasks",
-    "executor_running_tasks", "executor_executed_tasks_total",
-    "executor_stolen_tasks_total",
+    "simd_backend",
 };
 const char* const kFrozenHistograms[] = {
     "serve_request_seconds", "serve_prepare_seconds", "serve_decode_seconds",

@@ -6,20 +6,32 @@
 // mid-stream frames surface as typed errors, unload()/evict() mid-stream
 // never invalidates in-flight segments (the stream pins its buffers),
 // streaming leaders coalesce both materialized and streamed followers, the
-// stale-put gate holds for streams, and the producer's memory stays bounded
-// by the flow-control window, not the wire.
+// stale-put gate holds for streams, a solo stream's owned memory stays at
+// the structural sections, not the wire, and ten thousand live streams cost
+// no threads.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <mutex>
+#include <optional>
+#include <sstream>
 #include <thread>
 
 #include "serve/session.hpp"
 #include "serve/store.hpp"
 #include "test_util.hpp"
-#include "util/executor.hpp"
+
+#if defined(__SANITIZE_THREAD__)
+#define RECOIL_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define RECOIL_TSAN 1
+#endif
+#endif
 
 namespace recoil::serve {
 namespace {
@@ -80,9 +92,22 @@ format::RecoilFile indexed_file(std::span<const u8> syms, u32 max_splits) {
 struct StreamingFixture : ::testing::Test {
     static constexpr u64 kN = 60000;
     std::vector<u8> data;
+    /// Runs at the start of every miss combine (ServerOptions::combine_hook);
+    /// set it before the requests it should see start.
+    std::function<void(const std::string&)> on_combine;
     ContentServer server;
 
-    StreamingFixture() : data(test::geometric_symbols<u8>(kN, 0.55, 256, 11)) {
+    static ServerOptions hooked(StreamingFixture* self) {
+        ServerOptions opt;
+        opt.combine_hook = [self](const std::string& key) {
+            if (self->on_combine) self->on_combine(key);
+        };
+        return opt;
+    }
+
+    StreamingFixture()
+        : data(test::geometric_symbols<u8>(kN, 0.55, 256, 11)),
+          server(hooked(this)) {
         server.store().encode_bytes("static", data, 16);
         server.store().add_file("indexed", indexed_file(data, 16));
         stream::ChunkedEncoder enc({11, 8});
@@ -95,27 +120,29 @@ struct StreamingFixture : ::testing::Test {
 TEST_F(StreamingFixture, StreamedBytesAreBitExactWithV1ForEveryKindAndShape) {
     // Small frames force many body frames; the reassembly must still equal
     // the single materialized wire byte for byte.
-    StreamOptions opt;
-    opt.max_frame_bytes = 4096;
-    for (const char* name : {"static", "indexed", "chunked"}) {
-        for (const bool ranged : {false, true}) {
-            ServeRequest req{name, 8, std::nullopt, kAcceptStream};
-            if (ranged) req.range = {{kN / 3, kN / 3 + 9000}};
-            server.cache().clear();
-            const ServeResult ref = server.serve(req);
-            ASSERT_TRUE(ref.ok()) << name << ": " << ref.detail;
+    for (const u64 frame : {u64{4096}, u64{1024}}) {
+        StreamOptions opt;
+        opt.max_frame_bytes = frame;
+        for (const char* name : {"static", "indexed", "chunked"}) {
+            for (const bool ranged : {false, true}) {
+                ServeRequest req{name, 8, std::nullopt, kAcceptStream};
+                if (ranged) req.range = {{kN / 3, kN / 3 + 9000}};
+                server.cache().clear();
+                const ServeResult ref = server.serve(req);
+                ASSERT_TRUE(ref.ok()) << name << ": " << ref.detail;
 
-            server.cache().clear();
-            auto frames = collect_frames(server.serve_stream(req, opt));
-            ASSERT_GE(frames.size(), 3u) << name;  // header + bodies + FIN
-            const ServeResult got = reassemble(frames, opt.max_frame_bytes);
-            ASSERT_TRUE(got.ok()) << name << ": " << got.detail;
-            EXPECT_EQ(got.payload, ref.payload) << name;
-            EXPECT_EQ(got.stats.splits_served, ref.stats.splits_served) << name;
-            ASSERT_NE(got.wire, nullptr);
-            EXPECT_EQ(*got.wire, *ref.wire)
-                << name << (ranged ? " range" : " full")
-                << ": streamed reassembly diverges from the v1 wire";
+                server.cache().clear();
+                auto frames = collect_frames(server.serve_stream(req, opt));
+                ASSERT_GE(frames.size(), 3u) << name;  // header + bodies + FIN
+                const ServeResult got = reassemble(frames, opt.max_frame_bytes);
+                ASSERT_TRUE(got.ok()) << name << ": " << got.detail;
+                EXPECT_EQ(got.payload, ref.payload) << name;
+                EXPECT_EQ(got.stats.splits_served, ref.stats.splits_served) << name;
+                ASSERT_NE(got.wire, nullptr);
+                EXPECT_EQ(*got.wire, *ref.wire)
+                    << name << (ranged ? " range" : " full")
+                    << ": streamed reassembly diverges from the v1 wire";
+            }
         }
     }
 }
@@ -158,10 +185,8 @@ TEST_F(StreamingFixture, AdaptiveFramingShipsTheMetadataPrefixInSmallFrames) {
                   *ref.wire)
             << name;
 
-        // Adaptive off: frames may pack metadata and payload together (the
-        // first frame's size depends on producer timing — the consumer
-        // flushes rather than stalls — so only the adaptive path makes a
-        // promise about it). The wire is identical regardless of framing.
+        // Adaptive off: frames pack metadata and payload together at
+        // max_frame_bytes. The wire is identical regardless of framing.
         StreamOptions uniform = adaptive;
         uniform.adaptive_frames = false;
         server.cache().clear();
@@ -382,33 +407,40 @@ TEST_F(StreamingFixture, StreamingLeaderCoalescesMaterializedAndStreamedFollower
     server.cache().clear();
     const auto before = server.totals();
 
-    // A tiny window keeps the leader's producer blocked on the consumer, so
-    // the flight stays live while followers attach mid-stream.
+    // The leader's combine holds the flight open until both followers (one
+    // streamed, one materialized) are parked on it.
+    std::atomic<bool> leading{false};
+    on_combine = [&](const std::string&) {
+        if (leading.exchange(true)) return;
+        while (server.coalescing_waiters() < 2) std::this_thread::yield();
+    };
     StreamOptions opt;
     opt.max_frame_bytes = 2048;
-    opt.window_bytes = 2048;
-    auto leader = server.serve_stream(req, opt);
-    ASSERT_FALSE(leader.head().stats.coalesced);
-    std::vector<std::vector<u8>> leader_frames;
-    leader_frames.push_back(*leader.next_frame());  // header
-    leader_frames.push_back(*leader.next_frame());  // first body
+    std::optional<ServeStream> leader;
+    std::thread leader_thread(
+        [&] { leader.emplace(server.serve_stream(req, opt)); });
+    while (!leading) std::this_thread::yield();
 
-    // Streamed follower: replays the leader's bytes as they are committed.
-    auto follower_stream = server.serve_stream(req, opt);
-    EXPECT_TRUE(follower_stream.head().stats.coalesced);
-
+    // Streamed follower: replays the leader's wire once the combine is done.
+    std::optional<ServeStream> follower_stream;
+    std::vector<std::vector<u8>> follower_frames;
+    std::thread streamed([&] {
+        follower_stream.emplace(server.serve_stream(req, opt));
+        while (auto f = follower_stream->next_frame())
+            follower_frames.push_back(std::move(*f));
+    });
     ServeResult follower_res;
     std::thread materialized([&] {
         follower_res = server.serve(ServeRequest{"static", 6, std::nullopt});
     });
-    std::vector<std::vector<u8>> follower_frames;
-    std::thread streamed([&] {
-        follower_frames = collect_frames(std::move(follower_stream));
-    });
-
-    while (auto f = leader.next_frame()) leader_frames.push_back(std::move(*f));
+    leader_thread.join();
     materialized.join();
     streamed.join();
+
+    ASSERT_FALSE(leader->head().stats.coalesced);
+    EXPECT_TRUE(follower_stream->head().stats.coalesced);
+    std::vector<std::vector<u8>> leader_frames;
+    while (auto f = leader->next_frame()) leader_frames.push_back(std::move(*f));
 
     const ServeResult got_leader = reassemble(leader_frames, opt.max_frame_bytes);
     const ServeResult got_follower =
@@ -422,7 +454,7 @@ TEST_F(StreamingFixture, StreamingLeaderCoalescesMaterializedAndStreamedFollower
 
     const auto after = server.totals();
     EXPECT_GE(after.coalesced_requests - before.coalesced_requests, 1u);
-    // The leader's assembly became the cache entry: the next request hits.
+    // The leader's wire became the cache entry: the next request hits.
     auto warm = server.serve(ServeRequest{"static", 6, std::nullopt});
     EXPECT_TRUE(warm.stats.cache_hit);
     EXPECT_EQ(*warm.wire, *got_leader.wire);
@@ -433,19 +465,27 @@ TEST_F(StreamingFixture, AbandonedLeaderStillCompletesFollowersAndCache) {
     server.cache().clear();
     StreamOptions opt;
     opt.max_frame_bytes = 1024;
-    opt.window_bytes = 1024;
 
+    // The leader's combine waits until the follower is parked on it.
+    std::atomic<bool> leading{false};
+    on_combine = [&](const std::string&) {
+        if (leading.exchange(true)) return;
+        while (server.coalescing_waiters() == 0) std::this_thread::yield();
+    };
     ServeResult follower_res;
     std::thread follower;
     {
-        auto leader = server.serve_stream(req, opt);
-        (void)leader.next_frame();  // header only, then walk away
+        std::optional<ServeStream> leader;
+        std::thread leader_thread(
+            [&] { leader.emplace(server.serve_stream(req, opt)); });
+        while (!leading) std::this_thread::yield();
         follower = std::thread([&] {
             follower_res = server.serve(ServeRequest{"indexed", 4, std::nullopt});
         });
-        while (server.coalescing_waiters() == 0) std::this_thread::yield();
-        // Leader destroyed here, half-drained: it must switch to drain mode
-        // and finish the assembly for the parked follower and the cache.
+        leader_thread.join();
+        (void)leader->next_frame();  // header only, then walk away
+        // Leader destroyed here, half-drained: the follower and the cache
+        // already have the wire its combine built.
     }
     follower.join();
     ASSERT_TRUE(follower_res.ok()) << follower_res.detail;
@@ -454,58 +494,10 @@ TEST_F(StreamingFixture, AbandonedLeaderStillCompletesFollowersAndCache) {
     EXPECT_EQ(*follower_res.wire, *ref.wire);
 }
 
-TEST_F(StreamingFixture, TinyWindowProducerYieldsAndResumesOnTheExecutor) {
-    // The producer is a resumable executor task: a window far smaller than
-    // the wire forces it through many WindowFull yield/re-submit cycles,
-    // each resume re-running the deterministic serializer and skipping the
-    // bytes already staged. Every resubmission is a fresh task execution,
-    // so the executor's executed_total must grow by well more than one —
-    // and the reassembled bytes must not show a seam at any restart point.
-    const ServeRequest req{"static", 8, std::nullopt, kAcceptStream};
-    server.cache().clear();
-    const ServeResult ref = server.serve(req);
-    ASSERT_TRUE(ref.ok());
-
-    server.cache().clear();
-    StreamOptions opt;
-    opt.max_frame_bytes = 1024;
-    opt.window_bytes = 1024;
-    // A consumer that keeps pace can ride the WindowFull handler's
-    // drained-already re-check and keep the producer inside one task
-    // execution; quiescing between pulls forces the full yield each time,
-    // so every window refill is a distinct execution.
-    const auto quiesce = [] {
-        for (;;) {
-            const auto s = util::global_executor().stats();
-            if (s.queued == 0 && s.running == 0) return;
-            std::this_thread::yield();
-        }
-    };
-    const auto ex0 = util::global_executor().stats();
-    auto stream = server.serve_stream(req, opt);
-    std::vector<std::vector<u8>> frames;
-    quiesce();
-    while (auto f = stream.next_frame()) {
-        frames.push_back(std::move(*f));
-        quiesce();
-    }
-    const auto ex1 = util::global_executor().stats();
-
-    const ServeResult got = reassemble(frames, opt.max_frame_bytes);
-    ASSERT_TRUE(got.ok()) << got.detail;
-    EXPECT_EQ(*got.wire, *ref.wire)
-        << "yield/resume restarts corrupted the stream";
-    // A 1 KiB window over a multi-KiB wire refills many times; require a
-    // conservative floor so the test proves the producer actually cycled
-    // through the executor rather than running once.
-    EXPECT_GE(ex1.executed_total - ex0.executed_total, 4u);
-}
-
 TEST_F(StreamingFixture, EraseWhileProducerIsYieldedKeepsTheStreamBitExact) {
-    // Park the producer in the yielded state (window full, no task queued
-    // or running), erase the asset underneath it, then resume draining:
-    // the stream's pinned shared_ptr must keep the asset's storage valid
-    // across every restart of the serializer.
+    // Pull the first body frame, erase the asset underneath the stream,
+    // then keep draining: the stream's pinned asset and the keepers its
+    // pieces hold must keep the asset's storage valid to the last frame.
     const ServeRequest req{"chunked", 4, std::nullopt, kAcceptStream};
     server.cache().clear();
     const ServeResult ref = server.serve(ServeRequest{"chunked", 4, std::nullopt});
@@ -513,12 +505,11 @@ TEST_F(StreamingFixture, EraseWhileProducerIsYieldedKeepsTheStreamBitExact) {
 
     StreamOptions opt;
     opt.max_frame_bytes = 512;
-    opt.window_bytes = 512;
     opt.use_cache = false;  // solo stream: only the pin holds the asset
     auto stream = server.serve_stream(req, opt);
     std::vector<std::vector<u8>> frames;
     frames.push_back(*stream.next_frame());  // header
-    frames.push_back(*stream.next_frame());  // first body: started + yielded
+    frames.push_back(*stream.next_frame());  // first body
 
     ASSERT_TRUE(server.store().erase("chunked"));
     while (auto f = stream.next_frame()) frames.push_back(std::move(*f));
@@ -570,20 +561,16 @@ TEST(StreamingMemory, ProducerStaysInsideTheWindowNotTheWire) {
     const ServeResult ref = server.serve(req);
     ASSERT_TRUE(ref.ok());
     const u64 wire = ref.wire->size();
-    ASSERT_GT(wire, u64{1} << 19);  // far above the window
+    ASSERT_GT(wire, u64{1} << 19);  // far above one frame
 
     StreamOptions opt;
     opt.max_frame_bytes = 16384;
-    opt.window_bytes = 65536;
-    opt.use_cache = false;  // the too-big-to-cache regime: no assembly at all
+    opt.use_cache = false;  // the too-big-to-cache regime: no wire at all
     auto stream = server.serve_stream(req, opt);
     std::vector<std::vector<u8>> frames;
     while (auto f = stream.next_frame()) frames.push_back(std::move(*f));
-    const u64 peak_staged = stream.peak_staged_bytes();
     const u64 peak_owned = stream.peak_owned_bytes();
 
-    EXPECT_LE(peak_staged, opt.window_bytes + opt.max_frame_bytes)
-        << "flow-control window was not respected";
     EXPECT_LT(peak_owned, wire / 8)
         << "producer held O(wire) owned bytes; streaming should hold "
            "O(max segment)";
@@ -613,6 +600,89 @@ TEST_F(StreamingFixture, SessionChunkCallbackApiDeliversTheStream) {
     EXPECT_EQ(head.wire, nullptr);  // frames were the payload
     const ServeResult got = reassemble(frames, opt.max_frame_bytes);
     EXPECT_EQ(*got.wire, *ref.wire);
+}
+
+/// Live thread count from /proc/self/status (Linux; the container and CI
+/// host this repo targets).
+int process_thread_count() {
+    std::ifstream in("/proc/self/status");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("Threads:", 0) == 0) {
+            std::istringstream ss(line.substr(8));
+            int n = 0;
+            ss >> n;
+            return n;
+        }
+    }
+    return -1;
+}
+
+#ifdef RECOIL_TSAN
+constexpr int kSoakStreams = 500;  // TSan instruments every sync op; scale
+#else
+constexpr int kSoakStreams = 10000;
+#endif
+
+TEST(StreamingSoak, TenThousandStreamsCostWorkerThreadsNotStreamThreads) {
+    ServerOptions opt;
+    opt.telemetry = false;
+    ContentServer server(opt);
+    std::vector<u8> data(2000);
+    for (std::size_t i = 0; i < data.size(); ++i)
+        data[i] = static_cast<u8>((i * 131) % 251);
+    server.store().encode_bytes("soak", data, 4);
+    const ServeResult ref = server.serve({"soak", 4, std::nullopt});
+    ASSERT_TRUE(ref.ok());
+
+    const int before = process_thread_count();
+    ASSERT_GT(before, 0);
+    unsigned hw = std::thread::hardware_concurrency();
+    if (hw == 0) hw = 1;
+
+    // Every stream is left half-read: at any instant all kSoakStreams live
+    // streams are idle cursors, which is exactly what must NOT cost a
+    // thread each.
+    StreamOptions sopt;
+    sopt.max_frame_bytes = 256;
+    sopt.use_cache = false;
+    std::vector<ServeStream> streams;
+    streams.reserve(static_cast<std::size_t>(kSoakStreams));
+    int peak_threads = before;
+    for (int i = 0; i < kSoakStreams; ++i) {
+        streams.push_back(server.serve_stream(
+            {"soak", 4, std::nullopt, kAcceptAll | kAcceptStreamed}, sopt));
+        // Pull the header + first body frame so the stream has
+        // demonstrably started.
+        ASSERT_TRUE(streams.back().next_frame().has_value());
+        ASSERT_TRUE(streams.back().next_frame().has_value());
+        if (i % 256 == 0)
+            peak_threads = std::max(peak_threads, process_thread_count());
+    }
+    peak_threads = std::max(peak_threads, process_thread_count());
+    // Everything the process had before, plus slack for lazily created
+    // runtime threads — nowhere near kSoakStreams.
+    EXPECT_LE(peak_threads, before + static_cast<int>(2 * hw) + 8)
+        << "streams are costing dedicated threads again";
+
+    // Drain a sample of fresh streams fully and check bit-exactness end to
+    // end while the half-read streams are still live.
+    for (int i = 0; i < 20; ++i) {
+        StreamReassembler client(sopt.max_frame_bytes);
+        bool done = false;
+        ServeStream fresh = server.serve_stream(
+            {"soak", 4, std::nullopt, kAcceptAll | kAcceptStreamed}, sopt);
+        while (auto f = fresh.next_frame()) done = client.feed(*f);
+        ASSERT_TRUE(done);
+        const ServeResult got = client.result();
+        ASSERT_TRUE(got.ok()) << got.detail;
+        EXPECT_EQ(*got.wire, *ref.wire);
+    }
+    // Mass abandon: dropping a half-read stream just frees its pieces.
+    streams.clear();
+
+    const int after_deadline_threads = process_thread_count();
+    EXPECT_LE(after_deadline_threads, before + static_cast<int>(2 * hw) + 8);
 }
 
 TEST(CacheGauges, PeakBytesIsAHighWaterMarkThatSurvivesClear) {

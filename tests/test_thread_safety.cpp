@@ -9,16 +9,17 @@
 //     resolving through the store and polling the registry.
 //
 //  2. ContentServer's Flight used to publish into the flights_ map first
-//     and set streaming/assembling afterwards. Both are now fixed at
-//     construction (const members); this test forces a streamed leader with
-//     a pack of mid-flight followers so any post-publication write to
-//     either field would be a follower-visible race.
+//     and set its fields afterwards. A flight is now fully built before it
+//     is published; this test holds a streamed leader inside its combine
+//     while a pack of streamed followers park on the flight, so any
+//     post-publication write would be a follower-visible race.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <filesystem>
 #include <future>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -92,27 +93,34 @@ TEST(ThreadSafety, AttachBackingRacesReadersAndMetricsPolls) {
 }
 
 TEST(ThreadSafety, StreamingFlightFieldsAreFixedBeforePublication) {
+    constexpr unsigned kFollowers = 6;
     std::atomic<int> combines{0};
+    ContentServer* srv = nullptr;
     ServerOptions opt;
-    opt.combine_hook = [&](const std::string&) { ++combines; };
+    // The leader's combine holds the flight open until every follower is
+    // parked on it: each follower reads the flight through its wait path
+    // while the leader is still mid-combine.
+    opt.combine_hook = [&](const std::string&) {
+        if (++combines != 1) return;
+        while (srv->coalescing_waiters() < kFollowers)
+            std::this_thread::yield();
+    };
     ContentServer server(opt);
+    srv = &server;
     server.store().encode_bytes("asset", asset_bytes(60000, 13), 16);
 
-    // A tiny flow-control window stalls the leader's producer almost
-    // immediately (the consumer has not pulled yet), keeping the flight
-    // open while the followers attach — each follower reads
-    // flight->streaming/assembling through its replay path mid-flight.
     StreamOptions sopt;
     sopt.max_frame_bytes = 2048;
-    sopt.window_bytes = 2048;
-    constexpr unsigned kFollowers = 6;
-    ServeStream leader =
-        server.serve_stream({"asset", 4, std::nullopt, kAcceptStream}, sopt);
-    ASSERT_TRUE(leader.head().ok()) << leader.head().detail;
+    std::optional<ServeStream> leader;
+    std::thread lead([&] {
+        leader.emplace(server.serve_stream(
+            {"asset", 4, std::nullopt, kAcceptStream}, sopt));
+    });
+    while (combines.load() == 0) std::this_thread::yield();
 
     std::vector<std::thread> pullers;
     std::vector<u64> framed(kFollowers, 0);
-    std::vector<bool> ok(kFollowers, false);
+    std::vector<char> ok(kFollowers, 0);
     for (unsigned i = 0; i < kFollowers; ++i) {
         pullers.emplace_back([&server, &sopt, &framed, &ok, i] {
             ServeStream s = server.serve_stream(
@@ -123,11 +131,12 @@ TEST(ThreadSafety, StreamingFlightFieldsAreFixedBeforePublication) {
             ok[i] = s.head().ok() && s.done();
         });
     }
-    // Drive the leader only after every follower is parked on the flight:
-    // the followers' pulls gate on the assembly the leader commits.
-    u64 leader_frames = 0;
-    while (auto frame = leader.next_frame()) ++leader_frames;
+    // The leader returns only after every follower parked on its flight.
+    lead.join();
     for (auto& p : pullers) p.join();
+    ASSERT_TRUE(leader->head().ok()) << leader->head().detail;
+    u64 leader_frames = 0;
+    while (auto frame = leader->next_frame()) ++leader_frames;
 
     EXPECT_EQ(combines.load(), 1);  // one producer; everyone else replayed
     EXPECT_GE(leader_frames, 3u);   // header + >=1 body + fin

@@ -25,10 +25,10 @@ naked-mutex     No naked std::mutex / std::shared_mutex /
                 outside util/thread_annotations.hpp: all locking goes
                 through the Clang-Thread-Safety-annotated util wrappers.
 naked-thread    No std::thread / std::jthread (or #include <thread>) under
-                src/serve/ or src/net/: request-path concurrency rides the
-                work-stealing executor (util/executor.hpp) or the decode
-                ThreadPool, so a stream costs a state machine, not an OS
-                thread. The substrates themselves (util/executor.*,
+                src/serve/ or src/net/: their threads come from
+                util::NamedThreads (util/named_threads.hpp) or the decode
+                ThreadPool, so every OS thread is named and joined in one
+                place. The substrates themselves (util/named_threads.hpp,
                 util/thread_pool.hpp) and tests may spawn threads.
 include-hygiene No #include <mutex> / <shared_mutex> / <condition_variable>
                 under src/ outside the wrapper header, and every src header
@@ -64,8 +64,8 @@ NAKED_TOKENS = [
 
 BANNED_INCLUDES = ["<mutex>", "<shared_mutex>", "<condition_variable>"]
 
-# Directories where dedicated threads are banned outright: every producer,
-# session worker and daemon loop must run on the executor or ThreadPool.
+# Directories where naked threads are banned outright: every session worker
+# and daemon loop runs on NamedThreads or ThreadPool.
 THREADLESS_DIRS = ("serve/", "net/")
 
 THREAD_TOKENS = ["std::thread", "std::jthread"]
@@ -195,9 +195,9 @@ def check_naked_thread(repo: Path, findings):
             for m in re.finditer(re.escape(token) + r"\b", code):
                 line = code.count("\n", 0, m.start()) + 1
                 findings.append(
-                    f"naked-thread: src/{rel}:{line}: {token} — streams and "
-                    f"sessions run on util::Executor / ThreadPool, not "
-                    f"dedicated threads")
+                    f"naked-thread: src/{rel}:{line}: {token} — sessions "
+                    f"and daemon loops run on util::NamedThreads / "
+                    f"ThreadPool, not naked threads")
         if re.search(r"#\s*include\s*<thread>", text):
             findings.append(
                 f"naked-thread: src/{rel}: #include <thread> — nothing in "
