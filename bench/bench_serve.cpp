@@ -40,10 +40,8 @@
 #include "rans/static_model.hpp"
 #include "serve/range_wire.hpp"
 #include "serve/session.hpp"
-#include "serve/shard_router.hpp"
 #include "serve/store.hpp"
 #include "util/xoshiro.hpp"
-#include "workload/traffic.hpp"
 
 using namespace recoil;
 using namespace recoil::serve;
@@ -1119,138 +1117,6 @@ int main(int argc, char** argv) {
                 ", \"streamed_gbps\": " + JsonReport::num(bulk_gbps) + "}");
     }
 
-    // --- sharded serving scale-out: one seed-deterministic multi-tenant
-    // trace (Zipf tenants, a flash crowd, a unique-scan window) replayed
-    // closed-loop by a fixed worker fleet against 1/2/4/8 shards. The same
-    // request sequence at every shard count isolates what the shard router
-    // buys: contended-server mutexes and caches split N ways. Gated below:
-    // 4 shards must at least double 1-shard throughput, and the 4-shard
-    // p999 must not regress against 1 shard at the identical offered load.
-    double shard1_rps = 0, shard4_rps = 0;
-    double shard1_p999 = 0, shard4_p999 = 0;
-    {
-        workload::TrafficOptions topt;
-        if (quick) {
-            topt.tenants = {{"alpha", 8, 1.1, 2.0}, {"bravo", 8, 0.9, 1.0}};
-            topt.requests = 4000;
-        } else {
-            topt.tenants = {{"alpha", 24, 1.1, 3.0},
-                            {"bravo", 24, 0.9, 2.0},
-                            {"carol", 16, 1.3, 1.0}};
-            topt.requests = 60'000;
-        }
-        topt.offered_rps = 1e9;  // stamps unused: replay is closed-loop
-        topt.phases = {{workload::PhaseSpec::Kind::flash_crowd, 0.40, 0.50,
-                        0, 0.6},
-                       {workload::PhaseSpec::Kind::unique_scan, 0.70, 0.80,
-                        0, 0.5}};
-        topt.seed = 42;
-        const auto plan = workload::traffic_plan(topt);
-        const u64 asset_bytes = quick ? 16'384 : 65'536;
-        constexpr u64 kScanSpan = 4096;
-        const u32 workers =
-            std::max(4u, std::thread::hardware_concurrency() / 2);
-
-        const std::vector<u32> shard_counts =
-            quick ? std::vector<u32>{1, 4} : std::vector<u32>{1, 2, 4, 8};
-        std::string shard_json = "[";
-        bool first_point = true;
-        for (const u32 nshards : shard_counts) {
-            ShardedOptions sopt2;
-            sopt2.shards = nshards;
-            ShardedServer router(sopt2);
-            for (u32 t = 0; t < topt.tenants.size(); ++t) {
-                const auto& ten = topt.tenants[t];
-                for (u32 k = 1; k <= ten.keys; ++k) {
-                    auto corpus = workload::gen_text(
-                        asset_bytes, 7000 + 131 * t + k);
-                    router.encode_bytes(
-                        workload::traffic_asset_name(ten, k), corpus, 32);
-                }
-            }
-            // Warm pass: every asset served once, so the timed replay
-            // measures steady-state routing + cache behaviour.
-            for (const auto& ten : topt.tenants)
-                for (u32 k = 1; k <= ten.keys; ++k)
-                    router.serve(ServeRequest{
-                        workload::traffic_asset_name(ten, k), 4, {}});
-
-            obs::Histogram lat;
-            std::atomic<std::size_t> cursor{0};
-            std::atomic<u64> shard_fails{0};
-            Stopwatch wall;
-            {
-                std::vector<std::thread> fleet;
-                fleet.reserve(workers);
-                for (u32 w = 0; w < workers; ++w) {
-                    fleet.emplace_back([&] {
-                        for (;;) {
-                            const std::size_t i = cursor.fetch_add(1);
-                            if (i >= plan.size()) return;
-                            const auto& a = plan[i];
-                            const auto& ten = topt.tenants[a.tenant];
-                            ServeRequest req{
-                                workload::traffic_asset_name(ten, a.key), 4,
-                                {}};
-                            if (a.scan) {
-                                const u64 lo =
-                                    (static_cast<u64>(a.index) * 997) %
-                                    (asset_bytes - kScanSpan);
-                                req.range = {{lo, lo + kScanSpan}};
-                            }
-                            Stopwatch sw;
-                            auto res = router.serve(req);
-                            lat.observe(sw.seconds());
-                            if (!res.ok()) shard_fails.fetch_add(1);
-                        }
-                    });
-                }
-                for (auto& th : fleet) th.join();
-            }
-            const double wall_s = wall.seconds();
-            if (shard_fails.load() != 0) {
-                std::fprintf(stderr, "shard scaling (%u shards): %llu "
-                             "failed serves\n", nshards,
-                             static_cast<unsigned long long>(
-                                 shard_fails.load()));
-                return 1;
-            }
-            const double rps = static_cast<double>(plan.size()) / wall_s;
-            const auto snap = hist_snap(lat);
-            const auto tot = router.totals();
-            std::printf(
-                "shard scaling: %u shard%s, %u workers, %zu reqs: "
-                "%.0f req/s; p50/p99/p999 %.2f/%.2f/%.2f us "
-                "(%llu routed, %llu peer fetches)\n",
-                nshards, nshards == 1 ? " " : "s", workers, plan.size(),
-                rps, snap.p50() * 1e6, snap.p99() * 1e6,
-                snap.p999() * 1e6,
-                static_cast<unsigned long long>(tot.routed),
-                static_cast<unsigned long long>(tot.peer_fetches));
-            shard_json += first_point ? "\n    " : ",\n    ";
-            first_point = false;
-            shard_json += "{\"shards\": " + JsonReport::num(u64{nshards}) +
-                          ", \"requests_per_s\": " + JsonReport::num(rps) +
-                          ", \"latency\": " + pct_json(snap) + "}";
-            if (nshards == 1) {
-                shard1_rps = rps;
-                shard1_p999 = snap.p999();
-            }
-            if (nshards == 4) {
-                shard4_rps = rps;
-                shard4_p999 = snap.p999();
-            }
-        }
-        std::printf("\n");
-        report.field(
-            "shard_scaling",
-            "{\"workers\": " + JsonReport::num(u64{workers}) +
-                ", \"requests\": " + JsonReport::num(u64{plan.size()}) +
-                ", \"tenants\": " +
-                JsonReport::num(u64{topt.tenants.size()}) +
-                ", \"points\": " + shard_json + "]}");
-    }
-
     // --- multi-loop daemon: the same warm range workload the --net section
     // measures, but with the daemon running 4 epoll loops (SO_REUSEPORT or
     // hand-off). Informational: loopback accept distribution is kernel
@@ -1346,31 +1212,6 @@ int main(int argc, char** argv) {
                      "2%%-or-20 ns warm-hit budget\n",
                      100.0 * telemetry_overhead, telemetry_delta_ns);
         return 1;
-    }
-    // Shard scale-out acceptance: splitting the fleet across 4 servers must
-    // at least double 1-shard throughput under the identical trace, and the
-    // tail must not pay for it (1.25x slack absorbs scheduler jitter in the
-    // p999 estimate). --quick runs are too short to resolve either, and a
-    // host without at least 4 cores cannot express parallel speedup at all
-    // (the SIMD gate's capable-host precedent) — those runs report the
-    // points informationally.
-    if (!quick && shard1_rps > 0 &&
-        std::thread::hardware_concurrency() >= 4) {
-        if (shard4_rps < 2.0 * shard1_rps) {
-            std::fprintf(stderr,
-                         "4-shard throughput %.0f req/s < 2x 1-shard "
-                         "%.0f req/s — shard scaling acceptance failed\n",
-                         shard4_rps, shard1_rps);
-            return 1;
-        }
-        if (shard4_p999 > 1.25 * shard1_p999) {
-            std::fprintf(stderr,
-                         "4-shard p999 %.2f us regressed past 1-shard "
-                         "%.2f us at equal offered load — tail acceptance "
-                         "failed\n",
-                         shard4_p999 * 1e6, shard1_p999 * 1e6);
-            return 1;
-        }
     }
     // On a host where dispatch picked a vector backend, the guarded range
     // kernels must actually pay for themselves; scalar-only hosts report

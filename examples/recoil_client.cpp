@@ -17,8 +17,7 @@
 // plan (workload::traffic_plan: 3 tenants, Zipf keys, Poisson arrivals, a
 // flash crowd and a unique scan window) as R paced range requests against
 // ASSET (default "demo", which --seed-demo daemons always carry), then
-// prints client-observed p50/p99/p999 — the smoke-test cousin of
-// bench_serve's full shard-scaling harness.
+// prints client-observed p50/p99/p999.
 
 #include <algorithm>
 #include <chrono>

@@ -6,12 +6,9 @@
 // `recoil_client` (examples/recoil_client.cpp), the src/net/client.hpp
 // library, or anything that can write `[u32 LE length][RCRQ frame]`.
 //
-// Scale-out flags: `--shards N` fronts N independent ContentServer shards
-// with a consistent-hash ShardedServer (per-shard DiskStore partitions
-// under --store, budget rebalancing, peer fetch); `--loops N` runs N
-// epoll event-loop threads sharing the port via SO_REUSEPORT (with an
-// accept-and-hand-off fallback). Both default to 1, preserving the
-// classic single-server single-loop daemon.
+// `--loops N` runs N epoll event-loop threads over the one ContentServer,
+// sharing the port via SO_REUSEPORT (with an accept-and-hand-off
+// fallback). The default is 1, the classic single-loop daemon.
 //
 // `--seed-demo` encodes a small deterministic text asset ("demo", 1 MB,
 // 256-way splits) into the store at boot so the daemon can serve traffic
@@ -25,7 +22,6 @@
 #include <optional>
 
 #include "net/daemon.hpp"
-#include "serve/shard_router.hpp"
 #include "serve/store.hpp"
 #include "workload/datasets.hpp"
 
@@ -58,39 +54,8 @@ int usage() {
                  "usage: recoil_served [--store DIR] [--port N] [--bind ADDR]\n"
                  "                     [--cache-policy NAME] [--mem-budget SZ]\n"
                  "                     [--max-conns N] [--idle-timeout MS]\n"
-                 "                     [--seed-demo]\n"
-                 "                     [--shards N] [--loops N]\n"
-                 "                     [--rebalance-every N]\n");
+                 "                     [--seed-demo] [--loops N]\n");
     return 2;
-}
-
-int run_daemon(net::Daemon& daemon, const net::DaemonOptions& dopt) {
-    g_daemon = &daemon;
-    std::signal(SIGTERM, on_signal);
-    std::signal(SIGINT, on_signal);
-    std::printf("recoil_served listening on %s:%u (%u loop%s"
-                "%s, max-conns %u, idle-timeout %lld ms)\n",
-                dopt.bind_address.c_str(), daemon.port(), dopt.loops,
-                dopt.loops == 1 ? "" : "s",
-                dopt.loops > 1
-                    ? (daemon.reuseport() ? ", reuseport" : ", hand-off")
-                    : "",
-                dopt.max_connections,
-                static_cast<long long>(dopt.idle_timeout.count()));
-    std::fflush(stdout);
-    daemon.run();
-    const auto s = daemon.stats();
-    g_daemon = nullptr;
-    std::printf("drained: %llu conns served, %llu requests "
-                "(%llu streamed), %llu refused, %llu idle-closed, "
-                "%llu hand-offs\n",
-                static_cast<unsigned long long>(s.accepted),
-                static_cast<unsigned long long>(s.requests),
-                static_cast<unsigned long long>(s.streamed),
-                static_cast<unsigned long long>(s.refused),
-                static_cast<unsigned long long>(s.idle_closed),
-                static_cast<unsigned long long>(s.loop_handoffs));
-    return 0;
 }
 
 }  // namespace
@@ -100,8 +65,6 @@ int main(int argc, char** argv) {
     bool seed_demo = false;
     serve::CachePolicyConfig cache_policy;
     u64 mem_budget = 0;
-    u32 shards = 1;
-    u64 rebalance_every = 1024;
     net::DaemonOptions dopt;
     for (int i = 1; i < argc; ++i) {
         auto need = [&](const char* flag) -> const char* {
@@ -137,15 +100,9 @@ int main(int argc, char** argv) {
                 std::chrono::milliseconds(std::atoi(need("--idle-timeout")));
         } else if (std::strcmp(argv[i], "--seed-demo") == 0) {
             seed_demo = true;
-        } else if (std::strcmp(argv[i], "--shards") == 0) {
-            shards = static_cast<u32>(std::atoi(need("--shards")));
-            if (shards == 0) shards = 1;
         } else if (std::strcmp(argv[i], "--loops") == 0) {
             dopt.loops = static_cast<u32>(std::atoi(need("--loops")));
             if (dopt.loops == 0) dopt.loops = 1;
-        } else if (std::strcmp(argv[i], "--rebalance-every") == 0) {
-            rebalance_every = std::strtoull(need("--rebalance-every"),
-                                            nullptr, 10);
         } else {
             std::fprintf(stderr, "unknown flag '%s'\n", argv[i]);
             return usage();
@@ -158,36 +115,6 @@ int main(int argc, char** argv) {
     }
 
     try {
-        if (shards > 1) {
-            serve::ShardedOptions ropt;
-            ropt.shards = shards;
-            ropt.total_budget_bytes = mem_budget;
-            ropt.rebalance_every = rebalance_every;
-            ropt.server.cache_policy = cache_policy;
-            if (store_dir != nullptr) ropt.store_dir = store_dir;
-            serve::ShardedServer router(ropt);
-            if (seed_demo &&
-                !router.shard(router.shard_of("demo"))
-                     .store()
-                     .resolve("demo")) {
-                auto data = workload::gen_text(1'000'000, 2024);
-                router.encode_bytes("demo", data, 256);
-                std::printf("seeded 'demo' (1 MB text, 256-way splits) "
-                            "into shard %u of %u\n",
-                            router.shard_of("demo"), shards);
-            }
-            net::Daemon daemon(router, dopt);
-            const int rc = run_daemon(daemon, dopt);
-            const auto t = router.totals();
-            std::printf("router: %llu routed, %llu peer fetches "
-                        "(%llu B), %llu rebalances\n",
-                        static_cast<unsigned long long>(t.routed),
-                        static_cast<unsigned long long>(t.peer_fetches),
-                        static_cast<unsigned long long>(t.peer_fetch_bytes),
-                        static_cast<unsigned long long>(t.rebalances));
-            return rc;
-        }
-
         serve::ServerOptions sopt;
         sopt.cache_policy = cache_policy;
         sopt.mem_budget_bytes = mem_budget;
@@ -204,7 +131,31 @@ int main(int argc, char** argv) {
             std::printf("seeded 'demo' (1 MB text, 256-way splits)\n");
         }
         net::Daemon daemon(server, dopt);
-        return run_daemon(daemon, dopt);
+        g_daemon = &daemon;
+        std::signal(SIGTERM, on_signal);
+        std::signal(SIGINT, on_signal);
+        std::printf("recoil_served listening on %s:%u (%u loop%s"
+                    "%s, max-conns %u, idle-timeout %lld ms)\n",
+                    dopt.bind_address.c_str(), daemon.port(), dopt.loops,
+                    dopt.loops == 1 ? "" : "s",
+                    dopt.loops > 1
+                        ? (daemon.reuseport() ? ", reuseport" : ", hand-off")
+                        : "",
+                    dopt.max_connections,
+                    static_cast<long long>(dopt.idle_timeout.count()));
+        std::fflush(stdout);
+        daemon.run();
+        const auto s = daemon.stats();
+        g_daemon = nullptr;
+        std::printf("drained: %llu conns served, %llu requests "
+                    "(%llu streamed), %llu refused, %llu idle-closed, "
+                    "%llu hand-offs\n",
+                    static_cast<unsigned long long>(s.accepted),
+                    static_cast<unsigned long long>(s.requests),
+                    static_cast<unsigned long long>(s.streamed),
+                    static_cast<unsigned long long>(s.refused),
+                    static_cast<unsigned long long>(s.idle_closed),
+                    static_cast<unsigned long long>(s.loop_handoffs));
     } catch (const net::NetError& e) {
         std::fprintf(stderr, "recoil_served: %s\n", e.what());
         return 1;

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <deque>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -203,8 +204,8 @@ std::optional<ListenResult> try_listen(const std::string& address, u16 port,
 
 }  // namespace
 
-Daemon::Daemon(Backend backend, DaemonOptions opt)
-    : backend_(std::move(backend)),
+Daemon::Daemon(serve::ContentServer& server, DaemonOptions opt)
+    : server_(server),
       opt_(std::move(opt)),
       stats_(std::make_shared<AtomicStats>()) {
     if (opt_.loops == 0) opt_.loops = 1;
@@ -278,7 +279,7 @@ Daemon::Daemon(Backend backend, DaemonOptions opt)
 void Daemon::init_metrics() {
     // daemon_* metrics poll the shared stats block — callbacks stay valid
     // even if the registry outlives this daemon.
-    auto& m = *backend_.metrics;
+    auto& m = server_.metrics();
     auto s = stats_;
     using obs::MetricKind;
     m.register_callback("daemon_accepted_total", MetricKind::counter,
@@ -523,7 +524,7 @@ void Daemon::dispatch(Loop& lp, Conn& c, std::vector<u8> frame) {
             if (!req.asset.empty() && req.asset[0] != '!') {
                 serve::StreamOptions sopt = opt_.stream;
                 sopt.resume_offset = req.resume_offset;
-                c.stream.emplace(backend_.stream(req, sopt));
+                c.stream.emplace(server_.serve_stream(req, sopt));
                 stats_->streamed.fetch_add(1, std::memory_order_relaxed);
                 return;
             }
@@ -532,7 +533,7 @@ void Daemon::dispatch(Loop& lp, Conn& c, std::vector<u8> frame) {
             // typed error frame the client expects
         }
     }
-    std::vector<u8> resp = backend_.frame(frame);
+    std::vector<u8> resp = server_.serve_frame(frame);
     append_net_frame(c.out, resp);
     stats_->note_peak_buffer(c.owned_bytes());
 }
@@ -730,8 +731,8 @@ struct Conn {};
 struct Loop {};
 }  // namespace detail
 
-Daemon::Daemon(Backend backend, DaemonOptions opt)
-    : backend_(std::move(backend)),
+Daemon::Daemon(serve::ContentServer& server, DaemonOptions opt)
+    : server_(server),
       opt_(std::move(opt)),
       stats_(std::make_shared<AtomicStats>()) {
     net_fail(NetErrorCode::daemon_error,
@@ -755,28 +756,6 @@ int Daemon::loop_timeout_ms() const { return 0; }
 void Daemon::init_metrics() {}
 
 #endif
-
-Daemon::Daemon(serve::ContentServer& server, DaemonOptions opt)
-    : Daemon(Backend{[&server](std::span<const u8> f) {
-                         return server.serve_frame(f);
-                     },
-                     [&server](const serve::ServeRequest& r,
-                               const serve::StreamOptions& o) {
-                         return server.serve_stream(r, o);
-                     },
-                     &server.metrics()},
-             std::move(opt)) {}
-
-Daemon::Daemon(serve::ShardedServer& router, DaemonOptions opt)
-    : Daemon(Backend{[&router](std::span<const u8> f) {
-                         return router.serve_frame(f);
-                     },
-                     [&router](const serve::ServeRequest& r,
-                               const serve::StreamOptions& o) {
-                         return router.serve_stream(r, o);
-                     },
-                     &router.metrics()},
-             std::move(opt)) {}
 
 Daemon::~Daemon() = default;
 

@@ -1,7 +1,7 @@
 #pragma once
 // `recoil_served`'s engine: nonblocking epoll event loops speaking the
 // length-prefixed transport framing (net/framing.hpp) over TCP and
-// dispatching into a ContentServer — or, for scale-out, a ShardedServer.
+// dispatching into a ContentServer.
 //
 // Shape of one loop:
 //   - a listener, accept4(SOCK_NONBLOCK) drained per readiness event;
@@ -39,7 +39,7 @@
 // finishes every in-flight stream and already-received request, flushes,
 // closes, and run() returns once all loops exit — the daemon main exits 0.
 //
-// Counters/gauges register into the backend's MetricsRegistry under
+// Counters/gauges register into the server's MetricsRegistry under
 // daemon_* names via callbacks over a shared stats block, so a scrape
 // through "!metrics" (over this very socket) sees the daemon alongside
 // the serve subsystems — and a registry outliving the daemon polls the
@@ -48,9 +48,7 @@
 
 #include <atomic>
 #include <chrono>
-#include <functional>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -58,7 +56,6 @@
 #include "net/framing.hpp"
 #include "net/socket.hpp"
 #include "serve/server.hpp"
-#include "serve/shard_router.hpp"
 
 namespace recoil::net {
 
@@ -101,11 +98,6 @@ public:
     /// daemon_* metrics in server.metrics(). Throws NetError{daemon_error}
     /// if any of that fails. The server must outlive the daemon.
     Daemon(serve::ContentServer& server, DaemonOptions opt = {});
-    /// Same loop machinery fronting a ShardedServer: every request
-    /// dispatches through the consistent-hash ring, "!metrics" answers
-    /// from the router's registry (which then carries daemon_* and
-    /// shard_* side by side). The router must outlive the daemon.
-    Daemon(serve::ShardedServer& router, DaemonOptions opt = {});
     ~Daemon();
     Daemon(const Daemon&) = delete;
     Daemon& operator=(const Daemon&) = delete;
@@ -151,17 +143,6 @@ public:
 
 private:
     struct AtomicStats;
-    /// The serving backend, type-erased so one loop implementation fronts
-    /// a single ContentServer or a ShardedServer identically.
-    struct Backend {
-        std::function<std::vector<u8>(std::span<const u8>)> frame;
-        std::function<serve::ServeStream(const serve::ServeRequest&,
-                                         const serve::StreamOptions&)>
-            stream;
-        obs::MetricsRegistry* metrics = nullptr;
-    };
-
-    Daemon(Backend backend, DaemonOptions opt);
 
     void loop_run(detail::Loop& lp);
     void accept_ready(detail::Loop& lp);
@@ -181,7 +162,7 @@ private:
     int loop_timeout_ms() const;
     void init_metrics();
 
-    Backend backend_;
+    serve::ContentServer& server_;
     DaemonOptions opt_;
     u16 port_ = 0;
     bool reuseport_ = false;

@@ -88,7 +88,7 @@ std::string json_key(const std::string& name) {
 std::string MetricsSnapshot::to_prometheus() const {
     std::string out;
     // One # TYPE line per consecutive run of a family: a labeled series
-    // (`name{shard="0"}`) sorts directly after its unlabeled aggregate, so
+    // (`name{loop="3"}`) sorts directly after its unlabeled aggregate, so
     // the family header is emitted once for the whole run.
     std::string_view last_base;
     for (const auto& [name, value] : counters) {

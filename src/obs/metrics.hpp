@@ -171,7 +171,7 @@ public:
     void register_callback(const std::string& name, MetricKind kind,
                            Callback fn) RECOIL_EXCLUDES(mu_);
     /// Labeled callback series: `labels` is raw Prometheus label syntax
-    /// (e.g. `shard="3"`). The series is exposed as `name{labels}` — one
+    /// (e.g. `loop="3"`). The series is exposed as `name{labels}` — one
     /// `# TYPE` line per base name covers all its label permutations — and
     /// keyed by the full labeled string, so (name, labels) pairs replace
     /// independently. Empty labels degrade to the unlabeled overload.

@@ -188,15 +188,6 @@ std::size_t AssetStore::preload() {
     return resident;
 }
 
-std::shared_ptr<const Asset> AssetStore::adopt(const DiskStore::Loaded& loaded) {
-    std::shared_ptr<Asset> a = asset_from_mapped(loaded);
-    util::WriterMutexLock lk(mu_);
-    a->uid_ = next_uid_++;
-    std::shared_ptr<const Asset> ptr = std::move(a);
-    publish_locked(ptr);
-    return ptr;
-}
-
 bool AssetStore::is_current(const Asset& a) const {
     std::shared_ptr<DiskStore> disk;
     {

@@ -59,17 +59,6 @@ public:
     /// number of assets now resident.
     std::size_t preload() RECOIL_EXCLUDES(disk_mu_, mu_);
 
-    /// Adopt an asset loaded from a FOREIGN DiskStore (the shard router's
-    /// peer fetch): parse the mapped container into a zero-copy view and
-    /// publish it under a fresh local uid. Foreign generations belong to a
-    /// different uid sequence, so reusing one could alias this store's cache
-    /// keys — the fresh uid keeps key spaces disjoint. The asset is NOT
-    /// written through to this store's backing (the owning partition stays
-    /// the single master copy); it is therefore memory-only here and the
-    /// governor will not unload it.
-    std::shared_ptr<const Asset> adopt(const DiskStore::Loaded& loaded)
-        RECOIL_EXCLUDES(disk_mu_, mu_);
-
     /// True while `a` is still the live asset under its name — in memory,
     /// or (when unloaded) on disk under the same generation. The
     /// single-flight stale-put gate: a wire combined from a replaced or

@@ -40,21 +40,10 @@ void ResourceGovernor::note_access(const std::string& name) {
     last_access_[name] = tick;
 }
 
-void ResourceGovernor::set_budget(u64 budget_bytes) {
-    // mu_ serializes against a running enforce() pass so the new target is
-    // either seen by the whole pass or by the next one, never mid-pass.
-    util::MutexLock lk(mu_);
-    budget_.store(budget_bytes, std::memory_order_relaxed);
-    // Re-arm the futility latch: the stuck level was measured against the
-    // old budget and means nothing under the new one.
-    futile_usage_.store(0, std::memory_order_relaxed);
-}
-
 u64 ResourceGovernor::enforce() {
     if (!enabled()) return 0;
     util::MutexLock lk(mu_);
-    const u64 budget = budget_.load(std::memory_order_relaxed);
-    if (cache_.current_bytes() + store_.resident_bytes() <= budget) {
+    if (cache_.current_bytes() + store_.resident_bytes() <= budget_) {
         futile_usage_.store(0, std::memory_order_relaxed);
         return 0;
     }
@@ -92,7 +81,7 @@ u64 ResourceGovernor::enforce() {
     u64 released = 0;
     for (const auto& ranked : order) {
         const AssetStore::ResidentAsset& r = residents[ranked.second];
-        if (cache_.current_bytes() + store_.resident_bytes() <= budget) break;
+        if (cache_.current_bytes() + store_.resident_bytes() <= budget_) break;
         if (pinned_.contains(r.name)) {
             ++stats_.skipped_pinned;
             continue;
@@ -116,9 +105,9 @@ u64 ResourceGovernor::enforce() {
     // pinned, in use, or unbacked): the cache absorbs the remainder through
     // its own eviction policy.
     const u64 resident_now = store_.resident_bytes();
-    if (cache_.current_bytes() + resident_now > budget) {
+    if (cache_.current_bytes() + resident_now > budget_) {
         const u64 cache_target =
-            budget > resident_now ? budget - resident_now : 0;
+            budget_ > resident_now ? budget_ - resident_now : 0;
         ++stats_.cache_shrinks;
         cache_.shrink_to(cache_target);
     }
@@ -127,7 +116,7 @@ u64 ResourceGovernor::enforce() {
     // hot path's pressure_actionable() stops re-running identical passes
     // until something changes.
     const u64 usage_now = cache_.current_bytes() + store_.resident_bytes();
-    futile_usage_.store(usage_now > budget ? usage_now : 0,
+    futile_usage_.store(usage_now > budget_ ? usage_now : 0,
                         std::memory_order_relaxed);
     return released;
 }
@@ -135,7 +124,7 @@ u64 ResourceGovernor::enforce() {
 GovernorStats ResourceGovernor::stats() const {
     util::MutexLock lk(mu_);
     GovernorStats s = stats_;
-    s.budget_bytes = budget_.load(std::memory_order_relaxed);
+    s.budget_bytes = budget_;
     s.cache_bytes = cache_.current_bytes();
     s.resident_bytes = store_.resident_bytes();
     return s;

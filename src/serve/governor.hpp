@@ -63,22 +63,10 @@ class ResourceGovernor {
 public:
     ResourceGovernor(AssetStore& store, MetadataCache& cache,
                      GovernorOptions opt)
-        : store_(store), cache_(cache), opt_(opt),
-          budget_(opt.budget_bytes) {}
+        : store_(store), cache_(cache), budget_(opt.budget_bytes) {}
 
-    bool enabled() const noexcept {
-        return budget_.load(std::memory_order_relaxed) != 0;
-    }
-    u64 budget_bytes() const noexcept {
-        return budget_.load(std::memory_order_relaxed);
-    }
-
-    /// Retarget the global budget at runtime — the shard-router's rebalance
-    /// coordinator moves budget between shards through this. Re-arms the
-    /// futility latch (a bigger budget may relieve pressure, a smaller one
-    /// creates new pressure worth a pass); takes effect on the next
-    /// over_budget() probe / enforce() pass. 0 disables the governor.
-    void set_budget(u64 budget_bytes) RECOIL_EXCLUDES(mu_);
+    bool enabled() const noexcept { return budget_ != 0; }
+    u64 budget_bytes() const noexcept { return budget_; }
 
     /// Pinned assets are never unloaded by enforce(), however cold. The
     /// per-class protection knob: pin the assets a fleet's hot classes
@@ -94,9 +82,8 @@ public:
 
     /// Cheap pressure probe (two relaxed atomic loads) for the hot path.
     bool over_budget() const noexcept {
-        const u64 budget = budget_.load(std::memory_order_relaxed);
-        return budget != 0 &&
-               cache_.current_bytes() + store_.resident_bytes() > budget;
+        return budget_ != 0 &&
+               cache_.current_bytes() + store_.resident_bytes() > budget_;
     }
 
     /// over_budget() AND a pass has a chance of helping. When a pass ends
@@ -136,10 +123,7 @@ public:
 private:
     AssetStore& store_;
     MetadataCache& cache_;
-    GovernorOptions opt_;
-    /// Live budget (opt_.budget_bytes is only the initial value). Atomic so
-    /// the hot-path probes read it lock-free while set_budget retargets it.
-    std::atomic<u64> budget_;
+    const u64 budget_;
     mutable util::Mutex mu_;
     std::unordered_map<std::string, u64> last_access_ RECOIL_GUARDED_BY(mu_);
     std::unordered_set<std::string> pinned_ RECOIL_GUARDED_BY(mu_);

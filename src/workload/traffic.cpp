@@ -87,8 +87,8 @@ std::vector<Arrival> traffic_plan(const TrafficOptions& opt) {
         if (const PhaseSpec* p = phase_at(opt.phases, frac);
             p != nullptr && rng.uniform() < p->fraction) {
             if (p->kind == PhaseSpec::Kind::flash_crowd) {
-                // The crowd converges on ONE key of one tenant: the
-                // single-shard worst case a router must not fall over on.
+                // The crowd converges on ONE key of one tenant: a hot
+                // spot no key partitioning can spread.
                 a.tenant = std::min(p->tenant,
                                     static_cast<u32>(opt.tenants.size() - 1));
                 a.key = 1;

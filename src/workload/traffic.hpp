@@ -7,9 +7,8 @@
 // two regimes that break caches in production: a flash crowd (one key of
 // one tenant suddenly absorbs a large fraction of all traffic) and a
 // unique scan (a window of one-hit-wonder range requests that an
-// admission policy must refuse to cache). Everything is seed-deterministic
-// so bench_serve's shard-scaling and tail-latency sections replay the
-// identical trace at every shard count.
+// admission policy must refuse to cache). Everything is seed-deterministic,
+// so every replay of one seed sees the identical trace.
 
 #include <cstddef>
 #include <string>

@@ -568,6 +568,24 @@ TEST_F(NetFixture, MultiLoopDaemonServesBitExactAndDrains) {
     auto range_ref =
         in_process(ServeRequest{"asset", 8, {{1000, 60'000}}});
 
+    // Eight more text assets of different sizes, cold in the daemon's
+    // server: references come from a separate in-process server, so the
+    // first requests (one asset per thread, v2 on half of them) run
+    // concurrent cold combines on different loop threads.
+    constexpr u32 kFleet = 8;
+    ContentServer ref_server;
+    std::vector<std::string> fleet;
+    std::vector<std::shared_ptr<const std::vector<u8>>> fleet_refs;
+    for (u32 k = 0; k < kFleet; ++k) {
+        fleet.push_back("fleet/asset-" + std::to_string(k));
+        const auto fdata = workload::gen_text(40'000 + 1000 * k, 1000 + k);
+        server.store().encode_bytes(fleet.back(), fdata, 64);
+        ref_server.store().encode_bytes(fleet.back(), fdata, 64);
+        auto ref = ref_server.serve(ServeRequest{fleet.back(), 8, {}});
+        ASSERT_TRUE(ref.ok()) << ref.detail;
+        fleet_refs.push_back(ref.wire);
+    }
+
     std::atomic<u32> failures{0};
     std::vector<std::thread> threads;
     threads.reserve(kLoopTestThreads);
@@ -578,6 +596,16 @@ TEST_F(NetFixture, MultiLoopDaemonServesBitExactAndDrains) {
                     ClientOptions copt;
                     copt.port = port;
                     Client c(copt);
+                    const u32 a = (t * 7 + i) % kFleet;
+                    if ((t + i) % 2 == 0) {
+                        auto f2 = c.request_streamed(ServeRequest{
+                            fleet[a], 8, {},
+                            serve::kAcceptAll | serve::kAcceptStreamed});
+                        if (!f2.ok() || *f2.wire != *fleet_refs[a])
+                            ++failures;
+                    }
+                    auto f1 = c.request(ServeRequest{fleet[a], 8, {}});
+                    if (!f1.ok() || *f1.wire != *fleet_refs[a]) ++failures;
                     auto v1 = c.request(ServeRequest{"asset", 8, {}});
                     if (!v1.ok() || *v1.wire != *full_ref.wire) ++failures;
                     auto rr = c.request(

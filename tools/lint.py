@@ -14,10 +14,6 @@ metrics-json    With --metrics-json FILE (a live ``--metrics-json`` dump),
 daemon-json     With --daemon-json FILE (a live daemon scrape), every frozen
                 daemon_* name — plus serve_requests_total, proving the serve
                 registry rides along — appears in the snapshot.
-shard-json      With --shard-json FILE (a scrape of a --shards N daemon),
-                every name frozen in the shard/daemon-loop table of
-                docs/observability.md — plus daemon_requests_total, proving
-                the daemon families ride along — appears in the snapshot.
 trace-json      With --trace-json FILE, the trace dump carries its two
                 structural fields ("slowest", "failures").
 naked-mutex     No naked std::mutex / std::shared_mutex /
@@ -89,30 +85,6 @@ def frozen_registry_names(repo: Path):
     return [n for n in names if not n.startswith("p")]  # drop p50/p90/...
 
 
-def frozen_shard_names(repo: Path):
-    """Names from the shard/daemon-loop table in docs/observability.md.
-
-    A second frozen table with its own header: these families exist only
-    on sharded (--shards N) daemons, so they are checked against a sharded
-    scrape (--shard-json), never against the single-server snapshot the
-    first table governs. Absent table (e.g. lint fixtures) -> no names.
-    """
-    doc = repo / "docs" / "observability.md"
-    if not doc.exists():
-        return []
-    names = []
-    in_table = False
-    for line in doc.read_text().splitlines():
-        if line.startswith("| Shard family |"):
-            in_table = True
-            continue
-        if in_table:
-            if not line.startswith("|"):
-                break
-            names += BACKTICK_NAME.findall(line)
-    return names
-
-
 def frozen_daemon_names(repo: Path):
     """daemon_* names from the catalogue in docs/serve_daemon.md."""
     doc = repo / "docs" / "serve_daemon.md"
@@ -133,8 +105,7 @@ def strip_comments(text: str) -> str:
 
 
 def check_frozen_names(repo: Path, findings):
-    names = (frozen_registry_names(repo) + frozen_shard_names(repo) +
-             frozen_daemon_names(repo))
+    names = frozen_registry_names(repo) + frozen_daemon_names(repo)
     if not names:
         findings.append("frozen-names: no frozen metric names parsed from docs/")
         return
@@ -225,7 +196,7 @@ def check_include_hygiene(repo: Path, findings):
 
 
 def run_checks(repo: Path, metrics_json=None, daemon_json=None,
-               trace_json=None, shard_json=None):
+               trace_json=None):
     findings = []
     check_frozen_names(repo, findings)
     check_naked_mutex(repo, findings)
@@ -237,9 +208,6 @@ def run_checks(repo: Path, metrics_json=None, daemon_json=None,
     if daemon_json is not None:
         names = frozen_daemon_names(repo) + ["serve_requests_total"]
         check_snapshot(Path(daemon_json), names, "daemon-json", findings)
-    if shard_json is not None:
-        names = frozen_shard_names(repo) + ["daemon_requests_total"]
-        check_snapshot(Path(shard_json), names, "shard-json", findings)
     if trace_json is not None:
         check_trace_json(Path(trace_json), findings)
     return findings
@@ -283,14 +251,13 @@ def main() -> int:
     ap.add_argument("--repo", type=Path, default=REPO)
     ap.add_argument("--metrics-json", help="live registry snapshot to verify")
     ap.add_argument("--daemon-json", help="live daemon scrape to verify")
-    ap.add_argument("--shard-json", help="sharded daemon scrape to verify")
     ap.add_argument("--trace-json", help="live trace dump to verify")
     ap.add_argument("--self-test", action="store_true")
     args = ap.parse_args()
     if args.self_test:
         return self_test(args.repo)
     findings = run_checks(args.repo, args.metrics_json, args.daemon_json,
-                          args.trace_json, args.shard_json)
+                          args.trace_json)
     for f in findings:
         print(f)
     if findings:
