@@ -269,10 +269,10 @@ int main(int argc, char** argv) {
     }
 
     // Streamed serving (v2 framing): the same producer emits the wire
-    // segment at a time — header frame, checksummed body frames, FIN with a
-    // whole-wire FNV — so the server never materializes the response and
-    // peak producer memory is bounded by the flow-control window, not the
-    // asset. With --store this streams straight out of the mmapped master
+    // segment at a time — header frame, CRC32C-checksummed body frames, FIN
+    // with a whole-wire CRC32C — so the server never materializes the
+    // response and peak producer memory is the structural sections plus one
+    // frame, not the asset. With --store this streams straight out of the mmapped master
     // persisted by a previous run (write -> restart -> stream).
     {
         StreamOptions sopt;

@@ -13,18 +13,19 @@ using namespace wire;
 namespace {
 
 constexpr char kMagic[4] = {'R', 'C', 'F', '1'};
+/// 3: CRC32C trailer. Earlier versions (FNV-1a trailers) are refused.
+constexpr u8 kVersion = 3;
 
 }  // namespace
 
-u64 fnv1a(std::span<const u8> bytes, u64 state) {
+u64 fnv1a(std::span<const u8> bytes) {
+    u64 h = 0xcbf29ce484222325ull;
     for (u8 b : bytes) {
-        state ^= b;
-        state *= 0x100000001b3ull;
+        h ^= b;
+        h *= 0x100000001b3ull;
     }
-    return state;
+    return h;
 }
-
-u64 fnv1a(std::span<const u8> bytes) { return fnv1a(bytes, kFnvInit); }
 
 StaticModel RecoilFile::build_static_model() const {
     const auto& p = std::get<StaticPayload>(model);
@@ -57,7 +58,7 @@ void save_recoil_file_into(const RecoilFile& f, const RecoilMetadata& metadata,
     HashingSink hs(sink);
     std::vector<u8> head;
     head.insert(head.end(), kMagic, kMagic + 4);
-    head.push_back(2);  // version (2: unit payload aligned via pad marker)
+    head.push_back(kVersion);
     head.push_back(f.sym_width);
     head.push_back(f.is_indexed() ? 1 : 0);
     head.push_back(static_cast<u8>(f.prob_bits));
@@ -100,8 +101,7 @@ RecoilFile load_recoil_file_impl(std::span<const u8> bytes,
              "container"};
     if (std::memcmp(c.get_bytes(4).data(), kMagic, 4) != 0)
         raise("container: bad magic");
-    const u8 version = c.get_u8();
-    if (version != 1 && version != 2) raise("container: unsupported version");
+    if (c.get_u8() != kVersion) raise("container: unsupported version");
 
     RecoilFile f;
     f.sym_width = c.get_u8();
@@ -131,7 +131,7 @@ RecoilFile load_recoil_file_impl(std::span<const u8> bytes,
     f.metadata = deserialize_metadata(c.get_bytes(meta_len));
 
     const u64 unit_count = c.get_u64();
-    if (version >= 2) skip_unit_pad(c);
+    skip_unit_pad(c);
     f.units = get_unit_buffer(c, unit_count, keeper);
     if (f.metadata.num_units != unit_count)
         raise("container: metadata/bitstream length mismatch");
@@ -194,12 +194,14 @@ template RecoilFile make_recoil_file<StaticModel>(const RecoilEncoded<Rans32, 32
 
 namespace {
 constexpr char kConvMagic[4] = {'C', 'N', 'V', '1'};
-}
+/// 2: CRC32C trailer. Version 1 (FNV-1a trailer) is refused.
+constexpr u8 kConvVersion = 2;
+}  // namespace
 
 std::vector<u8> save_conventional_file(const ConventionalFile& f) {
     std::vector<u8> out;
     out.insert(out.end(), kConvMagic, kConvMagic + 4);
-    out.push_back(1);  // version
+    out.push_back(kConvVersion);
     out.push_back(f.sym_width);
     out.push_back(static_cast<u8>(f.prob_bits));
     out.push_back(0);
@@ -225,7 +227,8 @@ ConventionalFile load_conventional_file(std::span<const u8> bytes) {
              "conventional container"};
     if (std::memcmp(c.get_bytes(4).data(), kConvMagic, 4) != 0)
         raise("conventional container: bad magic");
-    if (c.get_u8() != 1) raise("conventional container: unsupported version");
+    if (c.get_u8() != kConvVersion)
+        raise("conventional container: unsupported version");
     ConventionalFile f;
     f.sym_width = c.get_u8();
     if (f.sym_width != 1 && f.sym_width != 2)

@@ -1,7 +1,7 @@
 #pragma once
 // On-disk/wire container for Recoil streams: model payload + detachable
-// metadata + bitstream, with an integrity checksum. This is the format the
-// CLI example and the content-delivery example exchange; the §3.3 serving
+// metadata + bitstream, with a CRC32C integrity trailer. This is the format
+// the CLI example and the content-delivery example exchange; the §3.3 serving
 // path (combine splits, re-serialize metadata, keep the bitstream) operates
 // directly on it.
 
@@ -20,7 +20,9 @@
 
 namespace recoil::format {
 
-/// FNV-1a 64-bit, used as the container integrity checksum.
+/// FNV-1a 64-bit. A reference function only: no integrity path uses it
+/// (they all use crc32c, format/crc32c.hpp), and tools/lint.py fails on any
+/// call under src/ or examples/.
 u64 fnv1a(std::span<const u8> bytes);
 
 struct RecoilFile {
@@ -52,8 +54,9 @@ struct RecoilFile {
 };
 
 /// Serialize/parse. Parsing validates structure, metadata invariants and the
-/// checksum; corrupt input raises recoil::Error. save writes container
-/// version 2 (unit payload padded to an even offset); load accepts v1 too.
+/// checksum; corrupt input raises recoil::Error. Container version 3: unit
+/// payload padded to an even offset, CRC32C trailer. Earlier versions (FNV-1a
+/// trailers) are refused as unsupported.
 std::vector<u8> save_recoil_file(const RecoilFile& f);
 /// Serialize `f`'s model and bitstream with `metadata` substituted — the
 /// §3.3 serving path's shape (combine metadata, keep everything else)
@@ -73,10 +76,10 @@ RecoilFile load_recoil_file(std::span<const u8> bytes);
 /// Parse `bytes` without copying the bitstream or id stream: the returned
 /// file's `units`/`ids` are views into `bytes`, and `keeper` (which must own
 /// the storage behind `bytes`, e.g. a serve::MappedFile) is retained by
-/// those views. Misaligned unit payloads (v1 containers at an odd offset)
-/// fall back to an owned copy. `checksum_verified` true skips re-hashing
-/// when the caller already validated these exact bytes (a store manifest
-/// checksum); structural validation always runs.
+/// those views. Misaligned unit payloads (bytes not mapped at an even
+/// address) fall back to an owned copy. `checksum_verified` true skips
+/// re-hashing when the caller already validated these exact bytes (a store
+/// manifest checksum); structural validation always runs.
 RecoilFile load_recoil_file_view(std::span<const u8> bytes,
                                  std::shared_ptr<const void> keeper,
                                  bool checksum_verified = false);

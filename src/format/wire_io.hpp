@@ -1,10 +1,12 @@
 #pragma once
 // Little-endian wire primitives shared by every serializer/parser in the
-// library (container, chunked stream, range wire). Parsers consume untrusted
-// bytes: Cursor::need compares against the remaining length so an
-// attacker-controlled u64 size cannot wrap `pos + n` past the bounds check,
-// and freq tables are validated to sum to exactly 2^prob_bits before they
-// can reach a model's table builder.
+// library (container, chunked stream, range wire). Every wire ends in an
+// 8-byte trailer holding the zero-extended CRC32C (format/crc32c.hpp) of
+// all bytes before it; a trailer with nonzero high bits never matches.
+// Parsers consume untrusted bytes: Cursor::need compares against the
+// remaining length so an attacker-controlled u64 size cannot wrap `pos + n`
+// past the bounds check, and freq tables are validated to sum to exactly
+// 2^prob_bits before they can reach a model's table builder.
 
 #include <algorithm>
 #include <cstdint>
@@ -14,22 +16,11 @@
 #include <string>
 #include <vector>
 
+#include "format/crc32c.hpp"
 #include "util/error.hpp"
 #include "util/ints.hpp"
 
 namespace recoil::format {
-
-/// FNV-1a 64-bit, used as the container integrity checksum (container.cpp).
-u64 fnv1a(std::span<const u8> bytes);
-
-/// FNV-1a offset basis: the initial state of an incremental hash.
-inline constexpr u64 kFnvInit = 0xcbf29ce484222325ull;
-
-/// Incremental FNV-1a: fold `bytes` into `state` (seed with kFnvInit).
-/// Hashing a buffer piece by piece yields the same digest as one pass, which
-/// is what lets a streaming wire producer emit its trailing checksum without
-/// ever holding the whole wire.
-u64 fnv1a(std::span<const u8> bytes, u64 state);
 
 /// Payload storage that is either owned or a zero-copy view into bytes kept
 /// alive by an external keeper (an mmapped container file). Copies share the
@@ -120,7 +111,7 @@ public:
     std::vector<u8> out;
 };
 
-/// Pass-through sink folding every byte into a running FNV-1a, so a
+/// Pass-through sink folding every byte into a running CRC32C, so a
 /// producer can emit its trailing checksum without a second pass over (or a
 /// materialized copy of) the wire. `bytes()` doubles as the absolute wire
 /// offset, which alignment pads depend on.
@@ -128,7 +119,7 @@ class HashingSink final : public WireSink {
 public:
     explicit HashingSink(WireSink& down) : down_(down) {}
     void write(ByteBuffer piece) override {
-        digest_ = fnv1a(piece, digest_);
+        digest_ = crc32c(piece, digest_);
         bytes_ += piece.size();
         down_.write(std::move(piece));
     }
@@ -137,7 +128,7 @@ public:
 
 private:
     WireSink& down_;
-    u64 digest_ = kFnvInit;
+    u32 digest_ = 0;
     u64 bytes_ = 0;
 };
 
@@ -214,7 +205,7 @@ struct Cursor {
     }
 };
 
-inline void append_checksum(std::vector<u8>& out) { put_u64(out, fnv1a(out)); }
+inline void append_checksum(std::vector<u8>& out) { put_u64(out, crc32c(out)); }
 
 /// Verify the trailing checksum and return the payload it covers. `verify`
 /// false skips the hash (for callers that already validated the same bytes
@@ -227,7 +218,7 @@ inline std::span<const u8> checked_payload(std::span<const u8> bytes,
     for (int i = 0; i < 8; ++i)
         stored |= u64{bytes[bytes.size() - 8 + i]} << (8 * i);
     auto payload = bytes.first(bytes.size() - 8);
-    if (verify && fnv1a(payload) != stored)
+    if (verify && crc32c(payload) != stored)
         raise(std::string(ctx) + ": checksum mismatch");
     return payload;
 }
@@ -256,7 +247,7 @@ inline void skip_unit_pad(Cursor& c) {
 
 /// Consume `count` u16 units as a UnitBuffer: a zero-copy view into the
 /// cursor's bytes when a keeper owns them and the payload is u16-aligned
-/// (v2 containers mapped at offset 0 guarantee this), an owned copy
+/// (containers mapped at offset 0 guarantee this), an owned copy
 /// otherwise. Shared by every container parser.
 inline UnitBuffer get_unit_buffer(Cursor& c, u64 count,
                                   const std::shared_ptr<const void>& keeper) {

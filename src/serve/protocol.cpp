@@ -27,7 +27,7 @@ constexpr u64 kStreamBodyOverhead = 4 + 1 + 1 + 1 + 4 + 8 + 8;
     throw ProtocolError(code, what);
 }
 
-/// Frame-level integrity: length floor + trailing FNV checksum, classified
+/// Frame-level integrity: length floor + trailing CRC32C, classified
 /// into typed codes (unlike wire_io's checked_payload, which reports strings
 /// only). Returns the payload the checksum covers.
 std::span<const u8> verify_frame(std::span<const u8> frame, const char* ctx) {
@@ -37,7 +37,7 @@ std::span<const u8> verify_frame(std::span<const u8> frame, const char* ctx) {
     for (int i = 0; i < 8; ++i)
         stored |= u64{frame[frame.size() - 8 + i]} << (8 * i);
     auto payload = frame.first(frame.size() - 8);
-    if (format::fnv1a(payload) != stored)
+    if (format::crc32c(payload) != stored)
         fail(ErrorCode::checksum_mismatch, std::string(ctx) + ": checksum mismatch");
     return payload;
 }
@@ -179,7 +179,13 @@ ServeRequest decode_request(std::span<const u8> frame) {
 }
 
 std::vector<u8> encode_response(const ServeResult& res, u64 max_frame_bytes) {
+    const bool has_wire = res.ok() && res.wire != nullptr;
     std::vector<u8> out;
+    // One allocation: growing past the wire to append the trailer would
+    // copy a multi-megabyte frame a second time.
+    out.reserve(4 + 1 + 2 + 1 + 1 + 4 + 4 +
+                std::min<std::size_t>(res.detail.size(), kMaxDetailLen) + 8 +
+                (has_wire ? res.wire->size() : 0) + 8);
     out.insert(out.end(), kResponseMagic, kResponseMagic + 4);
     out.push_back(kProtocolVersion);
     put_u16(out, static_cast<u16>(res.code));
@@ -191,7 +197,7 @@ std::vector<u8> encode_response(const ServeResult& res, u64 max_frame_bytes) {
     if (detail.size() > kMaxDetailLen) detail.resize(kMaxDetailLen);
     put_u32(out, static_cast<u32>(detail.size()));
     out.insert(out.end(), detail.begin(), detail.end());
-    if (res.ok() && res.wire != nullptr) {
+    if (has_wire) {
         put_u64(out, res.wire->size());
         out.insert(out.end(), res.wire->begin(), res.wire->end());
     } else {
@@ -450,7 +456,7 @@ bool StreamReassembler::feed(std::span<const u8> frame) {
                                     "stream reassembly: body bytes exceed the "
                                     "announced wire size");
             ++next_seq_;
-            digest_ = format::fnv1a(f.payload, digest_);
+            digest_ = format::crc32c(f.payload, digest_);
             wire_->insert(wire_->end(), f.payload.begin(), f.payload.end());
             break;
         }

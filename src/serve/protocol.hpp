@@ -7,8 +7,8 @@
 // the response frame back. Failures are typed ErrorCode values — the string
 // detail is for humans and logs, never for dispatch. Parsers consume
 // untrusted bytes and throw ProtocolError (a typed recoil::Error), never
-// crash: frames are FNV-checksummed and every length field is bounds-checked
-// through the shared wire_io cursor.
+// crash: every frame ends in a CRC32C trailer (format/crc32c.hpp) and every
+// length field is bounds-checked through the shared wire_io cursor.
 //
 // Frames are NOT self-delimiting: decode_request/decode_response and the
 // StreamReassembler expect a span holding exactly one complete frame. A
@@ -69,7 +69,7 @@ private:
 /// deliberately NOT part of kAcceptAll so default requests stay wire-
 /// compatible with v1 servers, which reject unknown accept bits.
 inline constexpr u8 kAcceptFile = 1;     ///< RecoilFile containers (RCF1)
-inline constexpr u8 kAcceptChunked = 2;  ///< ChunkedStream containers (RCS1)
+inline constexpr u8 kAcceptChunked = 2;  ///< ChunkedStream containers (RCS3)
 inline constexpr u8 kAcceptRange = 4;    ///< multi-segment range wires (RCR2)
 inline constexpr u8 kAcceptStreamed = 8; ///< v2 streamed response framing
 /// Introspection capability: the client understands metrics payloads served
@@ -171,11 +171,11 @@ ServeResult decode_response(std::span<const u8> frame,
 
 // ---- v2 streamed response framing ----
 //
-// A streamed response is a SEQUENCE of small, individually FNV-checksummed
+// A streamed response is a SEQUENCE of small, individually CRC32C-checksummed
 // frames instead of one frame holding the whole wire: a header frame
 // (status + stats), N body frames (consecutive slices of exactly the bytes
 // the v1 response's payload would hold), and a FIN frame carrying the body
-// frame count and a whole-wire FNV over the concatenated body payloads —
+// frame count and a whole-wire CRC32C over the concatenated body payloads —
 // so a receiver that never materializes the wire still gets end-to-end
 // integrity, and one that does reassemble gets bit-exactness with v1.
 
@@ -201,7 +201,8 @@ struct StreamFin {
     std::string detail;
     u32 body_frames = 0;
     u32 splits = 0;  ///< authoritative split count for the streamed wire
-    u64 wire_checksum = 0;  ///< FNV-1a over all body payload bytes, in order
+    /// CRC32C over all body payload bytes, in order, zero-extended.
+    u64 wire_checksum = 0;
 };
 
 enum class StreamFrameType : u8 { header = 0, body = 1, fin = 2 };
@@ -272,7 +273,7 @@ private:
     u32 splits_ = 0;
     std::shared_ptr<std::vector<u8>> wire_ =
         std::make_shared<std::vector<u8>>();
-    u64 digest_ = format::kFnvInit;  ///< incremental FNV over *wire_
+    u32 digest_ = 0;  ///< incremental CRC32C of *wire_
     u32 next_seq_ = 0;
 };
 

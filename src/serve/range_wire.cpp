@@ -16,7 +16,7 @@ using namespace format::wire;
 namespace {
 
 constexpr char kMagic[4] = {'R', 'C', 'R', '2'};
-constexpr u8 kVersion = 2;
+constexpr u8 kVersion = 3;  ///< 3: CRC32C trailer (2 carried FNV-1a)
 constexpr u8 kFlagHasPrev = 1;
 constexpr u8 kFlagIncludesFinal = 2;
 constexpr u8 kFlagIndexed = 4;

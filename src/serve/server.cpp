@@ -89,7 +89,7 @@ struct StreamState {
     enum class Phase : u8 { header, body, fin, finished };
     Phase phase = Phase::header;
     u64 emitted_payload = 0;
-    u64 digest = format::kFnvInit;  ///< FNV over the wire up to the cursor
+    u32 digest = 0;  ///< CRC32C of the wire up to the cursor
     u32 seq = 0;
     u64 frames = 0;
 
@@ -111,7 +111,7 @@ struct StreamState {
             if (piece.borrowed()) payload_phase = true;
             const std::size_t k = static_cast<std::size_t>(
                 std::min<u64>(n, piece.size() - front_off));
-            digest = format::fnv1a(
+            digest = format::crc32c(
                 std::span<const u8>(piece.data() + front_off, k), digest);
             advance(k);
             n -= k;
@@ -192,7 +192,7 @@ std::optional<std::vector<u8>> ServeStream::next_frame() {
             st.advance(n);
         }
         if (!payload.empty()) {
-            st.digest = format::fnv1a(payload, st.digest);
+            st.digest = format::crc32c(payload, st.digest);
             st.emitted_payload += payload.size();
             st.peak_owned =
                 std::max(st.peak_owned, st.owned_left + payload.size());

@@ -20,7 +20,7 @@ using namespace format::wire;
 namespace {
 
 constexpr char kManifestMagic[4] = {'R', 'C', 'M', '1'};
-constexpr u8 kManifestVersion = 1;
+constexpr u8 kManifestVersion = 2;  ///< 2: CRC32C fields (1 carried FNV-1a)
 constexpr const char* kContainerExt = ".rca";
 constexpr const char* kManifestExt = ".rcm";
 constexpr std::size_t kMaxEncodedName = 200;  ///< filesystem NAME_MAX margin
@@ -261,7 +261,7 @@ void DiskStore::put(const std::string& name, AssetKind kind,
     info.kind = kind;
     info.generation = generation;
     info.container_bytes = container.size();
-    info.checksum = format::fnv1a(container);
+    info.checksum = format::crc32c(container);
     const std::vector<u8> manifest = serialize_manifest(info);
 
     util::MutexLock lk(mu_);
@@ -304,7 +304,7 @@ std::optional<DiskStore::Loaded> DiskStore::load(const std::string& name) const 
                          " B, manifest says " +
                          std::to_string(info.container_bytes) + " B");
             if (opt_.verify_on_load &&
-                format::fnv1a(map->bytes()) != info.checksum)
+                format::crc32c(map->bytes()) != info.checksum)
                 fail(StoreStatus::bad_container,
                      "store: container checksum mismatch for asset '" + name +
                          "'");
@@ -345,7 +345,7 @@ DiskStore::VerifyReport DiskStore::verify() const {
                          std::to_string(map->bytes().size()) +
                          " B, manifest says " +
                          std::to_string(info.container_bytes) + " B");
-            if (format::fnv1a(map->bytes()) != info.checksum)
+            if (format::crc32c(map->bytes()) != info.checksum)
                 fail(StoreStatus::bad_container,
                      "store: container checksum mismatch for asset '" +
                          info.name + "'");

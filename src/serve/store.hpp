@@ -4,12 +4,12 @@
 // ContentServer never re-encodes the fleet, and the asset corpus is bounded
 // by disk, not RAM. A store directory holds one generation-suffixed
 // container file per live asset plus a small per-asset manifest (magic,
-// format version, asset name, kind, generation, FNV checksum of the
-// container). Writes are durable: container and manifest are each written
-// to a temp file, fsynced, atomically renamed into place, and the directory
-// is fsynced; replacement commits via the manifest rename — a crash at any
-// point leaves either the old asset or the new one, never a torn file.
-// Opening a store
+// format version, asset name, kind, generation, CRC32C of the container;
+// version 2 — a version-1 manifest carried FNV-1a and is refused). Writes
+// are durable: container and manifest are each written to a temp file,
+// fsynced, atomically renamed into place, and the directory is fsynced;
+// replacement commits via the manifest rename — a crash at any point leaves
+// either the old asset or the new one, never a torn file. Opening a store
 // only stats manifests (milliseconds); containers are mmapped read-only at
 // demand-load time and parsed into zero-copy FileAsset/ChunkedAsset views
 // (format::SharedBuffer), so serving reads straight out of the page cache.
@@ -81,11 +81,11 @@ struct StoredAssetInfo {
     AssetKind kind = AssetKind::static_file;
     u64 generation = 0;       ///< AssetStore uid, carried across restarts
     u64 container_bytes = 0;  ///< exact container file size
-    u64 checksum = 0;         ///< FNV-1a over the whole container file
+    u64 checksum = 0;  ///< CRC32C of the whole container file, zero-extended
 };
 
 struct DiskStoreOptions {
-    /// Verify each container's FNV checksum against its manifest when
+    /// Verify each container's CRC32C against its manifest when
     /// loading (one sequential pass over the mapped bytes). Off, corruption
     /// is still caught by the container's own structural validation and
     /// trailing checksum at parse time.
@@ -122,7 +122,7 @@ public:
     struct Loaded {
         StoredAssetInfo info;
         std::shared_ptr<const MappedFile> map;  ///< keeper for zero-copy views
-        /// The mapped bytes were FNV-verified against the manifest
+        /// The mapped bytes were CRC-verified against the manifest
         /// (verify_on_load), so parsers may skip re-hashing them.
         bool checksum_verified = false;
     };
@@ -142,7 +142,7 @@ public:
         std::vector<VerifyIssue> issues;
         bool ok() const noexcept { return issues.empty(); }
     };
-    /// Re-walk every manifest and container: mmap, FNV-check against the
+    /// Re-walk every manifest and container: mmap, CRC-check against the
     /// manifest (regardless of verify_on_load), and structurally parse the
     /// container. Corrupt assets come back as typed issues instead of a
     /// throw on the first defect — the boot-time scrub a server runs so a

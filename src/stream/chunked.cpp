@@ -18,8 +18,9 @@ using namespace format::wire;
 
 namespace {
 
-constexpr char kMagicV1[4] = {'R', 'C', 'S', '1'};
-constexpr char kMagicV2[4] = {'R', 'C', 'S', '2'};  ///< padded unit payloads
+/// RCS3: padded unit payloads, CRC32C trailer. RCS1/RCS2 (FNV-1a) are
+/// refused.
+constexpr char kMagic[4] = {'R', 'C', 'S', '3'};
 
 }  // namespace
 
@@ -52,7 +53,7 @@ std::vector<u8> ChunkedStream::serialize() const {
 void ChunkedStream::serialize_into(format::WireSink& sink) const {
     format::HashingSink hs(sink);
     std::vector<u8> head;
-    head.insert(head.end(), kMagicV2, kMagicV2 + 4);
+    head.insert(head.end(), kMagic, kMagic + 4);
     put_u32(head, prob_bits);
     put_u32(head, static_cast<u32>(chunks.size()));
     hs.write(std::move(head));
@@ -90,9 +91,7 @@ ChunkedStream parse_impl(std::span<const u8> bytes,
                          const std::shared_ptr<const void>& keeper,
                          bool checksum_verified) {
     Cursor c{checked_payload(bytes, "chunked", !checksum_verified), "chunked"};
-    const auto magic = c.get_bytes(4);
-    const bool padded = std::memcmp(magic.data(), kMagicV2, 4) == 0;
-    if (!padded && std::memcmp(magic.data(), kMagicV1, 4) != 0)
+    if (std::memcmp(c.get_bytes(4).data(), kMagic, 4) != 0)
         raise("chunked: bad magic");
     ChunkedStream s;
     s.prob_bits = c.get_u32();
@@ -105,7 +104,7 @@ ChunkedStream parse_impl(std::span<const u8> bytes,
         const u64 mlen = c.get_u64();
         ch.metadata = deserialize_metadata(c.get_bytes(mlen));
         const u64 ulen = c.get_u64();
-        if (padded) skip_unit_pad(c);
+        skip_unit_pad(c);
         ch.units = get_unit_buffer(c, ulen, keeper);
         if (ch.metadata.num_units != ulen)
             raise("chunked: metadata/bitstream length mismatch");

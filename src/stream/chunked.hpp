@@ -57,12 +57,12 @@ struct ChunkedStream {
     /// space that byte-range requests over chunked assets address.
     std::vector<u64> chunk_offsets() const;
 
-    /// Serialize with integrity checksum; parse validates everything.
-    /// serialize writes the RCS2 layout (per-chunk unit payloads padded to
-    /// even offsets); parse accepts RCS1 too. serialize is a materializing
-    /// adapter over serialize_into (one producer, two framings).
+    /// Serialize with a CRC32C trailer; parse validates everything.
+    /// The RCS3 layout pads per-chunk unit payloads to even offsets; parse
+    /// refuses the FNV-era RCS1/RCS2. serialize is a materializing adapter
+    /// over serialize_into (one producer, two framings).
     std::vector<u8> serialize() const;
-    /// Streaming producer: emit the RCS2 wire into `sink` piece by piece —
+    /// Streaming producer: emit the RCS3 wire into `sink` piece by piece —
     /// one small owned section plus one borrowed unit-payload view per
     /// chunk — bit-exact with serialize(). Peak producer memory is
     /// O(largest chunk metadata), not O(wire).

@@ -105,6 +105,26 @@ TEST(Chunked, CorruptionDetected) {
     EXPECT_THROW(ChunkedStream::parse(truncated), Error);
 }
 
+TEST(Chunked, PreCrcMagicsAreRefused) {
+    // RCS1 and RCS2 carried FNV-1a trailers. Resealed with CRC32C so the
+    // checksum holds, the magic is what must refuse them.
+    ChunkedEncoder enc;
+    enc.add_chunk(test::geometric_symbols<u8>(4000, 0.5, 256, 8));
+    const auto good = enc.finish().serialize();
+    ASSERT_EQ(good[3], '3');
+    for (const char v : {'1', '2'}) {
+        auto old = good;
+        old[3] = static_cast<u8>(v);
+        try {
+            ChunkedStream::parse(test::reseal(std::move(old)));
+            FAIL() << "RCS" << v << " accepted";
+        } catch (const Error& e) {
+            EXPECT_NE(std::string(e.what()).find("bad magic"), std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(Chunked, SingleTinyChunk) {
     ChunkedEncoder enc;
     std::vector<u8> tiny{1, 2, 3, 1, 2, 3, 9};

@@ -1,13 +1,19 @@
-// Container format tests: round-trip, the §3.3 serving path, and failure
-// injection (bit flips anywhere must be detected by the checksum).
+// Container format tests: round-trip, the §3.3 serving path, failure
+// injection (bit flips anywhere must be detected by the checksum), the
+// CRC32C integrity primitive, and refusal of pre-CRC format versions.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "conventional/conventional.hpp"
 #include "core/recoil_decoder.hpp"
 #include "format/container.hpp"
+#include "format/crc32c.hpp"
+#include "serve/protocol.hpp"
+#include "util/cpu.hpp"
 #include "test_util.hpp"
 #include "workload/datasets.hpp"
 
@@ -158,6 +164,120 @@ TEST(Container, ChecksumIsFnv1a) {
     EXPECT_EQ(format::fnv1a(empty), 0xcbf29ce484222325ull);
     std::vector<u8> a{'a'};
     EXPECT_EQ(format::fnv1a(a), 0xaf63dc4c8601ec8cull);
+}
+
+std::vector<u8> bytes_of(const char* s) {
+    return std::vector<u8>(s, s + std::strlen(s));
+}
+
+TEST(Checksum, Crc32cKnownAnswers) {
+    // RFC 3720 §B.4 check vectors.
+    const auto digits = bytes_of("123456789");
+    const std::vector<u8> zeros(32, 0x00);
+    const std::vector<u8> ones(32, 0xFF);
+    EXPECT_EQ(format::crc32c(digits), 0xE3069283u);
+    EXPECT_EQ(format::crc32c(zeros), 0x8A9136AAu);
+    EXPECT_EQ(format::crc32c(ones), 0x62A8AB43u);
+    EXPECT_EQ(format::crc32c({}), 0u);
+    EXPECT_EQ(format::detail::crc32c_table(digits, 0), 0xE3069283u);
+    EXPECT_EQ(format::detail::crc32c_table(zeros, 0), 0x8A9136AAu);
+    EXPECT_EQ(format::detail::crc32c_table(ones, 0), 0x62A8AB43u);
+    if (!cpu_features().sse42) GTEST_SKIP() << "no SSE4.2: table kernel only";
+    EXPECT_EQ(format::detail::crc32c_hw(digits, 0), 0xE3069283u);
+    EXPECT_EQ(format::detail::crc32c_hw(zeros, 0), 0x8A9136AAu);
+    EXPECT_EQ(format::detail::crc32c_hw(ones, 0), 0x62A8AB43u);
+}
+
+TEST(Checksum, HardwareKernelMatchesTableKernel) {
+    if (!cpu_features().sse42) GTEST_SKIP() << "no SSE4.2: table kernel only";
+    Xoshiro256 rng(1993);
+    std::vector<u8> buf(1 << 20);
+    for (auto& b : buf) b = static_cast<u8>(rng.below(256));
+    const std::span<const u8> all(buf);
+    // Every length 0..256 at every start offset 0..7 covers each head and
+    // tail shape of the 8-byte word loop; a nonzero state checks chaining.
+    for (std::size_t off = 0; off < 8; ++off)
+        for (std::size_t len = 0; len <= 256; ++len)
+            for (const u32 state : {0u, 0xDEADBEEFu})
+                ASSERT_EQ(format::detail::crc32c_hw(all.subspan(off, len), state),
+                          format::detail::crc32c_table(all.subspan(off, len),
+                                                       state))
+                    << "offset " << off << " length " << len;
+    EXPECT_EQ(format::detail::crc32c_hw(all, 0),
+              format::detail::crc32c_table(all, 0));
+}
+
+TEST(Checksum, IncrementalEqualsOnePassAtEverySplit) {
+    Xoshiro256 rng(3720);
+    std::vector<u8> buf(300);
+    for (auto& b : buf) b = static_cast<u8>(rng.below(256));
+    const std::span<const u8> all(buf);
+    const u32 whole = format::crc32c(all);
+    for (std::size_t k = 0; k <= buf.size(); ++k) {
+        const u32 a = format::crc32c(all.first(k));
+        EXPECT_EQ(format::crc32c(all.subspan(k), a), whole) << "split " << k;
+        EXPECT_EQ(format::detail::crc32c_table(all.subspan(k), a), whole)
+            << "split " << k;
+    }
+}
+
+TEST(Checksum, TrailerWithHighBitsSetIsAMismatch) {
+    // Trailers are 8 bytes holding the zero-extended CRC: a trailer whose
+    // low half matches but whose high half is nonzero must not verify.
+    auto frame = serve::encode_request(serve::ServeRequest{"asset", 4, {}});
+    frame[frame.size() - 1] ^= 0x01;  // a high-32 bit of the u64 LE trailer
+    try {
+        serve::decode_request(frame);
+        FAIL() << "trailer with nonzero high bits accepted";
+    } catch (const serve::ProtocolError& e) {
+        EXPECT_EQ(e.code(), serve::ErrorCode::checksum_mismatch);
+    }
+
+    auto file = format::save_recoil_file(make_file(5000, 4));
+    file[file.size() - 3] ^= 0x80;
+    EXPECT_THROW(format::load_recoil_file(file), Error);
+}
+
+/// Expect `parse` to refuse `bytes` with an error whose message names `what`.
+template <typename Parse>
+void expect_refused(const std::vector<u8>& bytes, Parse&& parse,
+                    const std::string& what) {
+    try {
+        parse(bytes);
+        FAIL() << "accepted; expected '" << what << "'";
+    } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(Container, PreCrcVersionsAreRefused) {
+    // Versions 1 and 2 carried FNV-1a trailers. Resealed with CRC32C so the
+    // checksum holds, the version byte is what must refuse them.
+    const auto good = format::save_recoil_file(make_file(5000, 4));
+    ASSERT_EQ(good[4], 3);
+    for (const u8 v : {u8{1}, u8{2}}) {
+        auto old = good;
+        old[4] = v;
+        expect_refused(test::reseal(std::move(old)),
+                       [](const std::vector<u8>& b) { format::load_recoil_file(b); },
+                       "unsupported version");
+    }
+
+    auto syms = test::geometric_symbols<u8>(5000, 0.6, 256, 5);
+    auto m = test::model_for<u8>(syms, 11, 256);
+    format::ConventionalFile cf;
+    cf.sym_width = 1;
+    cf.prob_bits = 11;
+    cf.freq.resize(256);
+    for (u32 s = 0; s < 256; ++s) cf.freq[s] = m.freq(s);
+    cf.payload = conventional_encode<Rans32, 32>(std::span<const u8>(syms), m, 2);
+    auto conv = format::save_conventional_file(cf);
+    ASSERT_EQ(conv[4], 2);
+    conv[4] = 1;
+    expect_refused(test::reseal(std::move(conv)),
+                   [](const std::vector<u8>& b) { format::load_conventional_file(b); },
+                   "unsupported version");
 }
 
 }  // namespace

@@ -134,13 +134,7 @@ TEST(Protocol, CorruptResponseFramesAreTypedErrors) {
                            [](const std::vector<u8>& f) { decode_response(f); });
 }
 
-/// Recompute the FNV trailer after tampering, as an attacker can.
-std::vector<u8> reseal(std::vector<u8> f) {
-    f.resize(f.size() - 8);
-    const u64 sum = format::fnv1a(f);
-    for (int i = 0; i < 8; ++i) f.push_back(static_cast<u8>(sum >> (8 * i)));
-    return f;
-}
+using test::reseal;  // recompute the CRC32C trailer, as an attacker can
 
 TEST(Protocol, AppendedErrorCodesArePreservedNotRejected) {
     // The contract lets servers append new codes without a version bump; a

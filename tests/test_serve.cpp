@@ -543,19 +543,36 @@ TEST_F(ServeFixture, CorruptWireIsRejected) {
     EXPECT_THROW(inspect_range_wire(std::vector<u8>{'R', 'C', 'R', '2'}), Error);
 }
 
+TEST_F(ServeFixture, PreCrcRangeWireVersionIsRefused) {
+    // Range wire version 2 carried an FNV-1a trailer. Resealed with CRC32C so
+    // the checksum holds, the version byte is what must refuse it.
+    auto res = server.serve(ServeRequest{"asset", 1, {{100, 400}}});
+    ASSERT_TRUE(res.ok());
+    std::vector<u8> old = *res.wire;
+    ASSERT_EQ(old[4], 3);
+    old[4] = 2;
+    old = test::reseal(std::move(old));
+    const auto expect_refused = [&](auto&& parse) {
+        try {
+            parse(old);
+            FAIL() << "range wire version 2 accepted";
+        } catch (const Error& e) {
+            EXPECT_NE(std::string(e.what()).find("unsupported version"),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    expect_refused([](const std::vector<u8>& b) { decode_range_wire(b); });
+    expect_refused([](const std::vector<u8>& b) { inspect_range_wire(b); });
+}
+
 TEST_F(ServeFixture, HostileWireWithValidChecksumIsRejected) {
-    // An attacker can recompute the FNV trailer, so structural validation
+    // An attacker can recompute the CRC32C trailer, so structural validation
     // must hold on its own: poisoned freq tables (table-builder overflow)
     // and wrap-around length fields must both be rejected, not decoded.
     auto res = server.serve(ServeRequest{"asset", 1, {{100, 400}}});
     ASSERT_TRUE(res.ok());
-    auto reseal = [](std::vector<u8> w) {
-        const u64 sum = format::fnv1a(
-            std::span<const u8>(w.data(), w.size() - 8));
-        for (int i = 0; i < 8; ++i)
-            w[w.size() - 8 + i] = static_cast<u8>(sum >> (8 * i));
-        return w;
-    };
+    using test::reseal;
 
     // RCR2 layout: header magic(4) ver(1) sym(1) rsvd(2) lo(8) hi(8)
     // segs(4) = 28; segment base(8) flags(1) prob(1) rsvd(2) lo(8) hi(8)

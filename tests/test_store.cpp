@@ -286,7 +286,7 @@ TEST_F(StoreFixture, BitFlippedContainerIsATypedError) {
 
     // Size is unchanged, so the store opens; the flip surfaces as a typed
     // checksum failure at load — with or without manifest verification
-    // (the container's own trailing FNV backstops the latter).
+    // (the container's own trailing CRC32C backstops the latter).
     for (const bool verify : {true, false}) {
         AssetStore store;
         store.attach_backing(
@@ -328,6 +328,87 @@ TEST_F(StoreFixture, MangledManifestIsATypedError) {
     } catch (const StoreError& e) {
         EXPECT_EQ(e.status(), StoreStatus::bad_manifest);
     }
+}
+
+std::vector<u8> read_file(const fs::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::vector<u8>((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+}
+
+void write_file(const fs::path& path, const std::vector<u8>& bytes) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST_F(StoreFixture, PreCrcManifestIsRefusedAtOpen) {
+    // Manifest version 1 carried FNV-1a fields. Resealed with CRC32C so the
+    // trailer holds, the version byte is what must refuse the directory.
+    {
+        AssetStore store;
+        store.attach_backing(std::make_shared<DiskStore>(dir));
+        store.encode_bytes("a", payload(20000, 11), 8);
+    }
+    fs::path manifest;
+    for (const auto& entry : fs::directory_iterator(dir))
+        if (entry.path().extension() == ".rcm") manifest = entry.path();
+    auto bytes = read_file(manifest);
+    ASSERT_EQ(bytes[4], 2);
+    bytes[4] = 1;
+    write_file(manifest, test::reseal(std::move(bytes)));
+    try {
+        DiskStore reopened(dir);
+        FAIL() << "manifest version 1 must not open";
+    } catch (const StoreError& e) {
+        EXPECT_EQ(e.status(), StoreStatus::bad_manifest);
+        EXPECT_NE(std::string(e.what()).find("unsupported version"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST_F(StoreFixture, PreCrcContainerIsRefusedByScrubAndLoad) {
+    // A current manifest over a version-2 container (FNV era), with every
+    // checksum recomputed so only the container's version byte is wrong:
+    // the boot scrub reports it and a demand-load refuses it, typed.
+    {
+        AssetStore store;
+        store.attach_backing(std::make_shared<DiskStore>(dir));
+        store.encode_bytes("a", payload(20000, 12), 8);
+    }
+    fs::path manifest, container;
+    for (const auto& entry : fs::directory_iterator(dir)) {
+        if (entry.path().extension() == ".rcm") manifest = entry.path();
+        if (entry.path().extension() == ".rca") container = entry.path();
+    }
+    auto old = read_file(container);
+    ASSERT_EQ(old[4], 3);
+    old[4] = 2;
+    old = test::reseal(std::move(old));
+    write_file(container, old);
+    // Manifest layout: magic(4) ver(1) kind(1) rsvd(2) gen(8) bytes(8), then
+    // the container checksum at offset 24.
+    auto man = read_file(manifest);
+    const u64 sum = format::crc32c(old);
+    for (int i = 0; i < 8; ++i) man[24 + i] = static_cast<u8>(sum >> (8 * i));
+    write_file(manifest, test::reseal(std::move(man)));
+
+    auto disk = std::make_shared<DiskStore>(dir);
+    const auto report = disk->verify();
+    EXPECT_EQ(report.checked, 1u);
+    ASSERT_EQ(report.issues.size(), 1u);
+    EXPECT_EQ(report.issues[0].status, StoreStatus::bad_container);
+    EXPECT_NE(report.issues[0].detail.find("unsupported version"),
+              std::string::npos)
+        << report.issues[0].detail;
+
+    ContentServer server;
+    server.store().attach_backing(disk);
+    auto res = server.serve(ServeRequest{"a", 4, std::nullopt});
+    EXPECT_FALSE(res.ok());
+    EXPECT_NE(res.detail.find("unsupported version"), std::string::npos)
+        << res.detail;
 }
 
 TEST_F(StoreFixture, LeftoverTempFilesAreIgnoredOnOpen) {

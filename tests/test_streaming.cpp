@@ -54,13 +54,7 @@ ServeResult reassemble(const std::vector<std::vector<u8>>& frames,
     return ra.result();
 }
 
-/// Recompute the FNV trailer after tampering, as an attacker can.
-std::vector<u8> reseal(std::vector<u8> f) {
-    f.resize(f.size() - 8);
-    const u64 sum = format::fnv1a(f);
-    for (int i = 0; i < 8; ++i) f.push_back(static_cast<u8>(sum >> (8 * i)));
-    return f;
-}
+using test::reseal;  // recompute the CRC32C trailer, as an attacker can
 
 format::RecoilFile indexed_file(std::span<const u8> syms, u32 max_splits) {
     std::vector<u8> ids(syms.size());
@@ -266,7 +260,7 @@ TEST_F(StreamingFixture, HostileMidStreamFramesAreTypedErrors) {
     }
 
     // Resealed payload corruption: the per-frame checksum is defeated, so
-    // the FIN's whole-wire FNV must catch it — typed checksum_mismatch.
+    // the FIN's whole-wire CRC32C must catch it — typed checksum_mismatch.
     {
         auto bad = frames;
         bad[1][25] ^= 0x01;  // inside the body payload

@@ -1,15 +1,26 @@
 #pragma once
 // Shared helpers for the test suite: deterministic synthetic symbol streams
-// with controllable skew, and model construction shortcuts.
+// with controllable skew, model construction shortcuts, and trailer
+// resealing for hostile-input tests.
 
 #include <span>
 #include <vector>
 
+#include "format/crc32c.hpp"
 #include "rans/static_model.hpp"
 #include "rans/symbol_stats.hpp"
 #include "util/xoshiro.hpp"
 
 namespace recoil::test {
+
+/// Recompute the 8-byte CRC32C trailer after tampering, as an attacker can,
+/// so a structural check (not the checksum) is what must reject the bytes.
+inline std::vector<u8> reseal(std::vector<u8> f) {
+    f.resize(f.size() - 8);
+    const u64 sum = format::crc32c(f);
+    for (int i = 0; i < 8; ++i) f.push_back(static_cast<u8>(sum >> (8 * i)));
+    return f;
+}
 
 /// Geometric-ish symbol stream over [0, alphabet): p(k) ~ q^k. q close to 1
 /// is nearly uniform (incompressible), small q is highly skewed.

@@ -26,6 +26,11 @@ naked-thread    No std::thread / std::jthread (or #include <thread>) under
                 ThreadPool, so every OS thread is named and joined in one
                 place. The substrates themselves (util/named_threads.hpp,
                 util/thread_pool.hpp) and tests may spawn threads.
+integrity-primitive
+                No fnv1a call under src/ or examples/: every integrity path
+                (trailers, frames, stream digests, manifests) uses
+                format::crc32c. fnv1a survives only as a reference function,
+                so its own declaration and definition are the sole matches.
 include-hygiene No #include <mutex> / <shared_mutex> / <condition_variable>
                 under src/ outside the wrapper header, and every src header
                 starts with #pragma once.
@@ -175,6 +180,27 @@ def check_naked_thread(repo: Path, findings):
                 f"{'/'.join(THREADLESS_DIRS)} may spawn or name OS threads")
 
 
+# Any use of fnv1a; group 1 marks a declaration or definition (`u64 fnv1a(`)
+# of the reference function, which is not a call.
+FNV_USE = re.compile(r"(\bu64\s+)?\bfnv1a\b")
+
+
+def check_integrity_primitive(repo: Path, findings):
+    for top in ("src", "examples"):
+        for ext in ("*.hpp", "*.cpp"):
+            for path in sorted((repo / top).rglob(ext)):
+                rel = path.relative_to(repo).as_posix()
+                code = strip_comments(path.read_text())
+                for m in FNV_USE.finditer(code):
+                    if m.group(1):
+                        continue
+                    line = code.count("\n", 0, m.start()) + 1
+                    findings.append(
+                        f"integrity-primitive: {rel}:{line}: fnv1a — "
+                        f"integrity paths use format::crc32c; fnv1a is a "
+                        f"reference function only")
+
+
 def check_include_hygiene(repo: Path, findings):
     for path in source_files(repo):
         rel = path.relative_to(repo / "src").as_posix()
@@ -201,6 +227,7 @@ def run_checks(repo: Path, metrics_json=None, daemon_json=None,
     check_frozen_names(repo, findings)
     check_naked_mutex(repo, findings)
     check_naked_thread(repo, findings)
+    check_integrity_primitive(repo, findings)
     check_include_hygiene(repo, findings)
     if metrics_json is not None:
         check_snapshot(Path(metrics_json), frozen_registry_names(repo),
@@ -220,6 +247,7 @@ def self_test(repo: Path) -> int:
         "renamed_metric": ["frozen-names"],
         "naked_mutex": ["naked-mutex", "include-hygiene"],
         "naked_thread": ["naked-thread"],
+        "fnv_integrity": ["integrity-primitive"],
     }
     failures = 0
     for name, expect in sorted(expected.items()):
