@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "util/ints.hpp"
+#include "util/striped_counter.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace recoil::obs {
@@ -63,7 +64,9 @@ private:
 /// bucket absorbs everything above ~2^63 ns — unreachable in practice), so
 /// one branchless bit_width() places a sample and the whole record path is
 /// three relaxed fetch_adds. 64 octaves span 1 ns to beyond a century:
-/// every latency this stack can produce lands in a real bucket.
+/// every latency this stack can produce lands in a real bucket. Buckets,
+/// count and sum are striped per thread (util::StripedCounter): concurrent
+/// recorders write their own cache lines and readers sum the stripes.
 class Histogram {
 public:
     static constexpr int kBuckets = 64;
@@ -82,28 +85,24 @@ public:
     }
 
     void observe_ns(u64 ns) noexcept {
-        buckets_[bucket_of(ns)].fetch_add(1, std::memory_order_relaxed);
-        count_.fetch_add(1, std::memory_order_relaxed);
-        sum_ns_.fetch_add(ns, std::memory_order_relaxed);
+        c_.add(static_cast<std::size_t>(bucket_of(ns)));
+        c_.add(kCount);
+        c_.add(kSum, ns);
     }
     void observe(double seconds) noexcept {
         observe_ns(seconds <= 0 ? 0 : static_cast<u64>(seconds * 1e9));
     }
 
-    u64 count() const noexcept {
-        return count_.load(std::memory_order_relaxed);
-    }
-    u64 sum_ns() const noexcept {
-        return sum_ns_.load(std::memory_order_relaxed);
-    }
+    u64 count() const noexcept { return c_.value(kCount); }
+    u64 sum_ns() const noexcept { return c_.value(kSum); }
     u64 bucket(int i) const noexcept {
-        return buckets_[i].load(std::memory_order_relaxed);
+        return c_.value(static_cast<std::size_t>(i));
     }
 
 private:
-    std::array<std::atomic<u64>, kBuckets> buckets_{};
-    std::atomic<u64> count_{0};
-    std::atomic<u64> sum_ns_{0};
+    static constexpr std::size_t kCount = kBuckets;
+    static constexpr std::size_t kSum = kBuckets + 1;
+    util::StripedCounter<kBuckets + 2> c_;
 };
 
 /// Point-in-time copy of one histogram, with quantile extraction. The

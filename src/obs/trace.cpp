@@ -6,8 +6,15 @@
 namespace recoil::obs {
 
 u64 next_trace_id() noexcept {
+    constexpr u64 kBlock = 1024;
     static std::atomic<u64> seq{0};
-    return seq.fetch_add(1, std::memory_order_relaxed) + 1;
+    static thread_local u64 next = 0;
+    static thread_local u64 end = 0;
+    if (next == end) {
+        next = seq.fetch_add(kBlock, std::memory_order_relaxed) + 1;
+        end = next + kBlock;
+    }
+    return next++;
 }
 
 void SlowRequestLog::record(TraceRecord rec) {

@@ -37,7 +37,10 @@ struct SpanRecord {
     int depth = 0;              ///< nesting level (0 = request-level phase)
 };
 
-/// Process-wide request-id sequence (never 0 for an active trace).
+/// Process-wide unique request id (never 0 for an active trace). Each thread
+/// takes a block of ids from one shared sequence and hands them out locally,
+/// so ids increase within a thread and never repeat across threads, while
+/// the shared sequence is touched once per block rather than per request.
 u64 next_trace_id() noexcept;
 
 /// Trace of one request. Create active (op + asset) or default-inactive;

@@ -7,6 +7,7 @@
 // answer the same two questions — "combine to this parallelism" and "slice
 // this symbol range" — each producing its own wire form.
 
+#include <atomic>
 #include <memory>
 #include <string>
 
@@ -71,6 +72,17 @@ public:
     virtual const format::RecoilFile* file() const noexcept { return nullptr; }
     virtual const stream::ChunkedStream* chunked() const noexcept { return nullptr; }
 
+    /// Recency stamp for the resource governor: steady-clock nanoseconds of
+    /// the last recorded access, 0 when never accessed (see
+    /// ResourceGovernor::note_access, the only writer). A fresh load of the
+    /// same asset starts at 0 again.
+    u64 last_access_ns() const noexcept {
+        return last_access_ns_.load(std::memory_order_relaxed);
+    }
+    void stamp_access(u64 now_ns) const noexcept {
+        last_access_ns_.store(now_ns, std::memory_order_relaxed);
+    }
+
 protected:
     Asset(std::string name, u64 master_bytes, u32 max_parallelism)
         : name_(std::move(name)),
@@ -83,6 +95,9 @@ private:
     u64 uid_ = 0;
     u64 master_bytes_ = 0;
     u32 max_parallelism_ = 1;
+    /// The one mutable field of a shared const asset: a relaxed atomic
+    /// written on the request path (the documented lock-free escape).
+    mutable std::atomic<u64> last_access_ns_{0};
 };
 
 /// A single Recoil container, static or indexed model.

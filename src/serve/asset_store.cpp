@@ -242,7 +242,8 @@ std::vector<AssetStore::ResidentAsset> AssetStore::residency() const {
             // no copy of the shared_ptr is made here, so the store counts
             // exactly once.
             out.push_back(ResidentAsset{name, asset->master_bytes(), false,
-                                        asset.use_count() - 1});
+                                        asset.use_count() - 1,
+                                        asset->last_access_ns()});
         disk = disk_;
     }
     if (disk != nullptr)

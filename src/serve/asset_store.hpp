@@ -95,6 +95,8 @@ public:
         /// snapshot time (approximate under concurrency — a racing holder
         /// may appear or vanish; the governor treats it as a heuristic).
         long external_refs = 0;
+        /// Asset::last_access_ns() at snapshot time (0 = never accessed).
+        u64 last_access_ns = 0;
     };
     /// Snapshot of every in-memory asset. The `backed` flags are queried
     /// from the backing store after the memory snapshot is taken.

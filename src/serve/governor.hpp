@@ -10,7 +10,7 @@
 //
 // What the governor will not do:
 //   - unload a pinned asset (pin()/unpin(): per-class protection for
-//     assets an operator knows are hot, whatever the clock says);
+//     assets an operator knows are hot, whatever their recency says);
 //   - unload an asset that is not in the backing store (that would be data
 //     loss, not memory-pressure relief);
 //   - unload an asset with live external references — an in-flight stream
@@ -23,7 +23,6 @@
 
 #include <atomic>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "serve/asset_store.hpp"
@@ -76,9 +75,21 @@ public:
     bool pinned(const std::string& name) const RECOIL_EXCLUDES(mu_);
 
     /// Recency signal: the server reports every request's asset here; the
-    /// enforce() pass ranks unload candidates coldest-first by this clock.
-    /// Assets never reported (preloaded, idle) rank coldest of all.
-    void note_access(const std::string& name) RECOIL_EXCLUDES(mu_);
+    /// enforce() pass ranks unload candidates coldest-first by the asset's
+    /// stamp. Assets never reported (preloaded, idle, freshly reloaded)
+    /// rank coldest of all. The stamp lives on the Asset and is rewritten
+    /// only once it has aged past kRecencyGrainNs, so a hot asset costs one
+    /// relaxed load per request, with no lock and no shared write; ranking
+    /// resolution is therefore the grain. `now_ns` is steady_now_ns() at
+    /// the access (the server passes its request-start timestamp).
+    void note_access(const Asset& asset, u64 now_ns) const noexcept {
+        if (!enabled()) return;  // no tracking cost when there is no budget
+        if (now_ns >= asset.last_access_ns() + kRecencyGrainNs)
+            asset.stamp_access(now_ns);
+    }
+    /// note_access() of the resident asset under `name`, if any, now.
+    void note_access(const std::string& name) const;
+    static constexpr u64 kRecencyGrainNs = 1'000'000;  ///< 1 ms
 
     /// Cheap pressure probe (two relaxed atomic loads) for the hot path.
     bool over_budget() const noexcept {
@@ -125,12 +136,10 @@ private:
     MetadataCache& cache_;
     const u64 budget_;
     mutable util::Mutex mu_;
-    std::unordered_map<std::string, u64> last_access_ RECOIL_GUARDED_BY(mu_);
     std::unordered_set<std::string> pinned_ RECOIL_GUARDED_BY(mu_);
-    /// clock_/futile_usage_/latched_probes_ are the documented lock-free
-    /// escapes: over_budget()/pressure_actionable() run on the serve hot
-    /// path and must never contend with a running enforce() pass.
-    std::atomic<u64> clock_{0};
+    /// futile_usage_/latched_probes_ are the documented lock-free escapes:
+    /// over_budget()/pressure_actionable() run on the serve hot path and
+    /// must never contend with a running enforce() pass.
     /// Usage level a pass ended at while still over budget (0 = none):
     /// the futility latch behind pressure_actionable().
     std::atomic<u64> futile_usage_{0};

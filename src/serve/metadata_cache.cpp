@@ -1,9 +1,11 @@
 #include "serve/metadata_cache.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
+#include "util/stopwatch.hpp"
 
 namespace recoil::serve {
 
@@ -13,135 +15,256 @@ MetadataCache::MetadataCache(u64 capacity_bytes, CachePolicyConfig policy)
       policy_(make_eviction_policy(policy, capacity_bytes)),
       admission_(make_admission_policy(policy, capacity_bytes)) {}
 
-WireBytes MetadataCache::get(const std::string& asset_key, u32 parallelism,
-                             u32* splits_out, bool record_access) {
-    util::MutexLock lk(mu_);
-    const Key key{asset_key, parallelism};
-    if (record_access) admission_->record(KeyHash{}(key));
-    auto it = map_.find(key);
-    if (it == map_.end()) {
-        ++stats_.misses;
-        return nullptr;
+WireBytes MetadataCache::get(std::string_view asset_key, u32 parallelism,
+                             u32* splits_out, bool record_access,
+                             u64 now_ns) {
+    const KeyView key = key_view(asset_key, parallelism);
+    WireBytes wire;
+    EntryId id = kNoEntry;
+    {
+        Shard& sh = shards_[shard_of(key.hash)];
+        util::MutexLock lk(sh.mu);
+        auto it = sh.map.find(key);
+        if (it != sh.map.end()) {
+            wire = it->second.wire;
+            id = it->second.id;
+            if (splits_out != nullptr) *splits_out = it->second.splits;
+        }
     }
-    ++stats_.hits;
-    stats_.hit_bytes += it->second.wire->size();
-    policy_->on_touch(it->second.id);
-    if (splits_out != nullptr) *splits_out = it->second.splits;
-    return it->second.wire;
+    const bool buffered = record_access || id != kNoEntry;
+    const u64 stamp = !buffered ? 0 : now_ns != 0 ? now_ns : steady_now_ns();
+    ReadBuffer& buf = read_buffers_[util::thread_stripe()];
+    u32 held = 0;
+    {
+        util::MutexLock lk(buf.mu);
+        if (wire != nullptr) {
+            ++buf.hits;
+            buf.hit_bytes += wire->size();
+        } else {
+            ++buf.misses;
+        }
+        if (buffered) {
+            held = buf.size.load(std::memory_order_relaxed);
+            if (held < kReadBufferSlots) {
+                buf.events[held++] = ReadEvent{stamp, id, key.hash,
+                                               record_access};
+                buf.size.store(held, std::memory_order_relaxed);
+            } else {
+                ++buf.drops;
+            }
+        }
+    }
+    // Readers never wait for the policies: whoever holds policy_mu_ is a
+    // mutator (which drains first) or another reader's drain.
+    if (held >= kDrainAt && policy_mu_.try_lock()) {
+        util::MutexLock lk(policy_mu_, util::adopt_lock);
+        drain_locked();
+    }
+    return wire;
 }
 
-void MetadataCache::put(const std::string& asset_key, u32 parallelism,
+bool MetadataCache::contains(std::string_view asset_key,
+                             u32 parallelism) const {
+    const KeyView key = key_view(asset_key, parallelism);
+    Shard& sh = shards_[shard_of(key.hash)];
+    util::MutexLock lk(sh.mu);
+    return sh.map.contains(key);
+}
+
+void MetadataCache::drain_locked() {
+    drained_.clear();
+    for (ReadBuffer& buf : read_buffers_) {
+        if (buf.size.load(std::memory_order_relaxed) == 0) continue;
+        util::MutexLock lk(buf.mu);
+        const u32 n = buf.size.load(std::memory_order_relaxed);
+        drained_.insert(drained_.end(), buf.events.begin(),
+                        buf.events.begin() + n);
+        buf.size.store(0, std::memory_order_relaxed);
+    }
+    if (drained_.empty()) return;
+    // The merge across buffers is what keeps a serial request stream's
+    // recency exact when consecutive requests ran on different threads. A
+    // buffer only one thread appends to is in stamp order already.
+    const auto by_stamp = [](const ReadEvent& a, const ReadEvent& b) {
+        return a.stamp_ns < b.stamp_ns;
+    };
+    if (!std::is_sorted(drained_.begin(), drained_.end(), by_stamp))
+        std::stable_sort(drained_.begin(), drained_.end(), by_stamp);
+    for (const ReadEvent& ev : drained_) {
+        if (ev.record) admission_->record(ev.key_hash);
+        // An entry erased since its hit was buffered is no longer tracked.
+        if (ev.id != kNoEntry && by_id_.contains(ev.id))
+            policy_->on_touch(ev.id);
+    }
+    ++stats_.read_drains;
+}
+
+void MetadataCache::put(std::string_view asset_key, u32 parallelism,
                         WireBytes wire, u32 splits) {
     RECOIL_CHECK(wire != nullptr, "cache put: null payload");
-    util::MutexLock lk(mu_);
-    const Key key{asset_key, parallelism};
-    auto it = map_.find(key);
-    if (wire->size() > capacity_) {  // would evict everything for nothing
+    // Declared before the lock: displaced wires are dropped after it.
+    std::vector<WireBytes> released;
+    util::MutexLock lk(policy_mu_);
+    drain_locked();
+    const KeyView key = key_view(asset_key, parallelism);
+    const std::size_t si = shard_of(key.hash);
+    Shard& sh = shards_[si];
+    const u64 size = wire->size();
+    const bool fits = size <= capacity_;
+    EntryId resident = kNoEntry;
+    {
+        util::MutexLock sl(sh.mu);
+        auto it = sh.map.find(key);
+        if (it != sh.map.end()) {
+            resident = it->second.id;
+            if (fits) {
+                // Refresh in place: already admitted once, the gate does
+                // not re-run.
+                stats_.bytes = stats_.bytes - it->second.wire->size() + size;
+                released.push_back(
+                    std::exchange(it->second.wire, std::move(wire)));
+                it->second.splits = splits;
+            }
+        }
+    }
+    if (!fits) {  // would evict everything for nothing
         ++stats_.rejected;
         // A resident entry under this key is now known stale: serving it
         // would hand out superseded bytes, so it goes too (not an eviction
         // — nothing displaced it for space).
-        if (it != map_.end()) {
-            set_bytes_locked(stats_.bytes - it->second.wire->size());
-            erase_entry_locked(it->second.id);
-            stats_.entries = map_.size();
-        }
+        if (resident != kNoEntry) erase_entry_locked(resident, released);
+        publish_bytes_locked();
         return;
     }
-    if (it != map_.end()) {
-        // Refresh: already admitted once — the gate does not re-run.
-        set_bytes_locked(stats_.bytes - it->second.wire->size() +
-                         wire->size());
-        it->second.wire = std::move(wire);
-        it->second.splits = splits;
-        policy_->on_touch(it->second.id);
-        policy_->on_resize(it->second.id, it->second.wire->size());
+    if (resident != kNoEntry) {
+        policy_->on_touch(resident);
+        policy_->on_resize(resident, size);
     } else {
-        if (!admission_->admit(KeyHash{}(key), wire->size())) {
+        if (!admission_->admit(key.hash, size)) {
             ++stats_.admission_rejected;
             return;
         }
         const EntryId id = next_id_++;
-        set_bytes_locked(stats_.bytes + wire->size());
-        auto [pos, inserted] =
-            map_.emplace(key, Entry{std::move(wire), splits, id});
-        by_id_[id] = &pos->first;
-        policy_->on_insert(id, pos->second.wire->size());
+        {
+            util::MutexLock sl(sh.mu);
+            auto [pos, inserted] = sh.map.emplace(
+                Key{std::string(asset_key), parallelism, key.hash},
+                Entry{std::move(wire), splits, id});
+            by_id_[id] = Location{si, &pos->first};
+        }
+        policy_->on_insert(id, size);
+        stats_.bytes += size;
+        ++stats_.entries;
         ++stats_.insertions;
     }
-    stats_.entries = map_.size();
     // Peak is sampled before eviction trims back under capacity: it reports
     // the most bytes the cache ever actually held.
     stats_.peak_bytes = std::max(stats_.peak_bytes, stats_.bytes);
-    evict_until_locked(capacity_);
+    evict_until_locked(capacity_, released);
+    publish_bytes_locked();
 }
 
-void MetadataCache::erase_entry_locked(EntryId id) {
+void MetadataCache::erase_entry_locked(EntryId id,
+                                       std::vector<WireBytes>& released) {
     auto idx = by_id_.find(id);
     RECOIL_CHECK(idx != by_id_.end(), "cache: unknown entry id");
-    const Key key = *idx->second;  // copy: erasing invalidates the pointer
+    const Location loc = idx->second;
     by_id_.erase(idx);
     policy_->on_erase(id);
-    map_.erase(key);
+    Shard& sh = shards_[loc.shard];
+    util::MutexLock sl(sh.mu);
+    auto it = sh.map.find(*loc.key);
+    RECOIL_CHECK(it != sh.map.end(), "cache: indexed entry missing");
+    stats_.bytes -= it->second.wire->size();
+    --stats_.entries;
+    released.push_back(std::move(it->second.wire));
+    sh.map.erase(it);
 }
 
-void MetadataCache::evict_until_locked(u64 target_bytes) {
-    while (stats_.bytes > target_bytes && !map_.empty()) {
+void MetadataCache::evict_until_locked(u64 target_bytes,
+                                       std::vector<WireBytes>& released) {
+    while (stats_.bytes > target_bytes && stats_.entries > 0) {
         const EntryId id = policy_->victim();
         RECOIL_CHECK(id != kNoEntry, "cache: policy lost a resident entry");
-        auto idx = by_id_.find(id);
-        RECOIL_CHECK(idx != by_id_.end(), "cache: victim id unknown");
-        set_bytes_locked(stats_.bytes - map_.at(*idx->second).wire->size());
-        erase_entry_locked(id);
+        erase_entry_locked(id, released);
         ++stats_.evictions;
-        stats_.entries = map_.size();
     }
 }
 
-void MetadataCache::erase_asset(const std::string& asset_key) {
-    util::MutexLock lk(mu_);
-    for (auto it = map_.begin(); it != map_.end();) {
-        const std::string& a = it->first.asset;
-        const bool derived = a.size() > asset_key.size() &&
-                             a.compare(0, asset_key.size(), asset_key) == 0 &&
-                             a[asset_key.size()] == '\n';
-        if (a == asset_key || derived) {
-            set_bytes_locked(stats_.bytes - it->second.wire->size());
-            by_id_.erase(it->second.id);
-            policy_->on_erase(it->second.id);
-            it = map_.erase(it);
-        } else {
-            ++it;
+void MetadataCache::erase_asset(std::string_view asset_key) {
+    std::vector<WireBytes> released;
+    util::MutexLock lk(policy_mu_);
+    drain_locked();
+    for (Shard& sh : shards_) {
+        util::MutexLock sl(sh.mu);
+        for (auto it = sh.map.begin(); it != sh.map.end();) {
+            const std::string_view a = it->first.asset;
+            const bool derived = a.size() > asset_key.size() &&
+                                 a.starts_with(asset_key) &&
+                                 a[asset_key.size()] == '\n';
+            if (a == asset_key || derived) {
+                stats_.bytes -= it->second.wire->size();
+                --stats_.entries;
+                by_id_.erase(it->second.id);
+                policy_->on_erase(it->second.id);
+                released.push_back(std::move(it->second.wire));
+                it = sh.map.erase(it);
+            } else {
+                ++it;
+            }
         }
     }
-    stats_.entries = map_.size();
+    publish_bytes_locked();
 }
 
 void MetadataCache::shrink_to(u64 target_bytes) {
-    util::MutexLock lk(mu_);
-    evict_until_locked(target_bytes);
+    std::vector<WireBytes> released;
+    util::MutexLock lk(policy_mu_);
+    drain_locked();
+    evict_until_locked(target_bytes, released);
+    publish_bytes_locked();
 }
 
 void MetadataCache::clear() {
-    util::MutexLock lk(mu_);
-    map_.clear();
+    std::vector<std::unordered_map<Key, Entry, KeyHash, KeyEq>> released;
+    util::MutexLock lk(policy_mu_);
+    // Drained first: the admission records survive a clear (the sketch
+    // models the access stream); the touches then find nothing tracked.
+    drain_locked();
+    released.reserve(kShards);
+    for (Shard& sh : shards_) {
+        util::MutexLock sl(sh.mu);
+        released.emplace_back().swap(sh.map);
+    }
     by_id_.clear();
     policy_->clear();
-    set_bytes_locked(0);
+    stats_.bytes = 0;
     stats_.entries = 0;
+    publish_bytes_locked();
 }
 
 CacheStats MetadataCache::stats() const {
-    util::MutexLock lk(mu_);
-    return stats_;
+    CacheStats s;
+    {
+        util::MutexLock lk(policy_mu_);
+        s = stats_;
+    }
+    for (ReadBuffer& buf : read_buffers_) {
+        util::MutexLock lk(buf.mu);
+        s.hits += buf.hits;
+        s.misses += buf.misses;
+        s.hit_bytes += buf.hit_bytes;
+        s.read_buffer_drops += buf.drops;
+    }
+    return s;
 }
 
 void MetadataCache::bind_metrics(obs::MetricsRegistry* reg) {
     if (reg == nullptr) return;
     using obs::MetricKind;
-    // Polled callbacks reading the same stats_ the stats() API reports: the
-    // registry view is bit-identical by construction and the cache hot path
-    // gains no extra writes.
+    // Polled callbacks reading the same counters the stats() API reports:
+    // the registry view is bit-identical by construction and the cache hot
+    // path gains no extra writes.
     auto poll = [this](u64 CacheStats::* field) {
         return [this, field] { return stats().*field; };
     };
@@ -168,11 +291,15 @@ void MetadataCache::bind_metrics(obs::MetricsRegistry* reg) {
                            poll(&CacheStats::entries));
     reg->register_callback("cache_capacity_bytes", MetricKind::gauge,
                            [this] { return capacity_bytes(); });
+    reg->register_callback("cache_read_buffer_drops_total",
+                           MetricKind::counter,
+                           poll(&CacheStats::read_buffer_drops));
+    reg->register_callback("cache_read_drains_total", MetricKind::counter,
+                           poll(&CacheStats::read_drains));
 }
 
-void MetadataCache::set_bytes_locked(u64 bytes) {
-    stats_.bytes = bytes;
-    bytes_now_.store(bytes, std::memory_order_relaxed);
+void MetadataCache::publish_bytes_locked() {
+    bytes_now_.store(stats_.bytes, std::memory_order_relaxed);
 }
 
 }  // namespace recoil::serve

@@ -13,16 +13,38 @@
 // AdmissionPolicy gates brand-new entries (admit-all by default, or a
 // size-aware TinyLFU frequency sketch). The cache owns storage, stats, and
 // the byte-capacity invariant; policies own ordering and gatekeeping.
+//
+// Concurrency (docs/serve_cache.md, "Read path"). A warm hit shares no
+// written cache line with other callers except its key's shard lock and the
+// returned wire's refcount:
+//   - the map is split into kShards shards, each under its own mutex, and
+//     looked up without copying the key string;
+//   - get() does not run the policy hooks inline: it appends a stamped
+//     touch (and the admission record) to its thread's read buffer, and a
+//     full-enough buffer is drained into the policies under try_lock of
+//     policy_mu_, so readers never wait on policy bookkeeping;
+//   - hits/misses/hit_bytes are counted per read-buffer stripe, under the
+//     stripe lock the get takes anyway.
+// Every mutator (put, shrink_to, erase_asset, clear) takes policy_mu_ and
+// drains every buffer first, merging the events by their steady-clock stamps
+// so the policies see accesses in the order they happened: a serial request
+// stream yields exactly the victims an inline LRU would, whichever threads
+// served it. Touches of entries erased since they were buffered are skipped.
+// Lock order: policy_mu_, then a shard mutex or a read-buffer mutex, one at
+// a time.
 
+#include <array>
 #include <atomic>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "serve/cache_policy.hpp"
 #include "serve/protocol.hpp"
 #include "util/ints.hpp"
+#include "util/striped_counter.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace recoil::obs {
@@ -56,6 +78,13 @@ struct CacheStats {
     u64 peak_bytes = 0;
     u64 bytes = 0;    ///< current cached payload bytes
     u64 entries = 0;  ///< current entry count
+    /// Buffered touches dropped because the caller's read buffer was full
+    /// while another thread held the policy lock: recency the policy never
+    /// saw. Rises only under contention; cumulative.
+    u64 read_buffer_drops = 0;
+    /// Drain passes that applied buffered reads to the policies.
+    /// Cumulative.
+    u64 read_drains = 0;
 };
 
 class MetadataCache {
@@ -71,9 +100,15 @@ public:
     /// post-acquire recheck): double-recording would teach the sketch that
     /// every cold key was seen twice, silently disarming the one-hit-
     /// wonder gate.
-    WireBytes get(const std::string& asset_key, u32 parallelism,
-                  u32* splits_out = nullptr, bool record_access = true)
-        RECOIL_EXCLUDES(mu_);
+    /// The policy-side effects (touch, admission record) are buffered and
+    /// reach the policies before the next put/shrink_to/erase_asset/clear,
+    /// in the order of their stamps: `now_ns` (steady_now_ns()), or the
+    /// clock read here when 0. A caller that took a timestamp at the start
+    /// of the same request passes it and saves the clock read; serial
+    /// requests still stamp in the order they ran.
+    WireBytes get(std::string_view asset_key, u32 parallelism,
+                  u32* splits_out = nullptr, bool record_access = true,
+                  u64 now_ns = 0) RECOIL_EXCLUDES(policy_mu_);
 
     /// Insert (or refresh) an entry, evicting policy-chosen victims past
     /// capacity. Payloads larger than the whole cache are never cached —
@@ -83,19 +118,19 @@ public:
     /// counts in CacheStats::admission_rejected. An entry exactly equal to
     /// capacity is admitted (it fits — alone). `splits` is the work-item
     /// count the response carries, echoed back by get().
-    void put(const std::string& asset_key, u32 parallelism, WireBytes wire,
-             u32 splits = 0) RECOIL_EXCLUDES(mu_);
+    void put(std::string_view asset_key, u32 parallelism, WireBytes wire,
+             u32 splits = 0) RECOIL_EXCLUDES(policy_mu_);
 
     /// Drop every entry for `asset_key` (all parallelisms, and derived keys
     /// of the form "asset_key\n..." such as range responses). Not an
     /// eviction: the evictions counter is untouched.
-    void erase_asset(const std::string& asset_key) RECOIL_EXCLUDES(mu_);
+    void erase_asset(std::string_view asset_key) RECOIL_EXCLUDES(policy_mu_);
 
     /// Evict policy-chosen victims until current bytes <= `target_bytes`
     /// (counted as evictions — this is capacity pressure, from the resource
     /// governor rather than from an insertion). The configured capacity is
     /// unchanged: the cache may grow back.
-    void shrink_to(u64 target_bytes) RECOIL_EXCLUDES(mu_);
+    void shrink_to(u64 target_bytes) RECOIL_EXCLUDES(policy_mu_);
 
     /// Drop every entry. Resets the current-size fields (`bytes`,
     /// `entries`) only; cumulative counters (hits/misses/insertions/
@@ -103,8 +138,11 @@ public:
     /// across a clear() is not lost. Dropped entries do not count as
     /// evictions. The admission sketch also survives: it models the access
     /// stream, which a contents clear does not rewrite.
-    void clear() RECOIL_EXCLUDES(mu_);
-    CacheStats stats() const RECOIL_EXCLUDES(mu_);
+    void clear() RECOIL_EXCLUDES(policy_mu_);
+    /// Residency probe: true when (asset_key, parallelism) is cached. No
+    /// stats, no touch, no admission record.
+    bool contains(std::string_view asset_key, u32 parallelism) const;
+    CacheStats stats() const RECOIL_EXCLUDES(policy_mu_);
     /// Publish this cache through `reg` as polled cache_* metrics (see
     /// docs/observability.md for the name catalogue). The callbacks read the
     /// same counters stats() reports, so both views are bit-identical.
@@ -112,7 +150,9 @@ public:
     /// registry is not supported (bind once at server construction).
     void bind_metrics(obs::MetricsRegistry* reg);
     u64 capacity_bytes() const noexcept { return capacity_; }
-    /// Lock-free mirror of stats().bytes for cheap pressure checks.
+    /// Lock-free mirror of stats().bytes for cheap pressure checks. Updated
+    /// once per mutator, after it has evicted back under capacity, so it
+    /// never shows a put's transient overshoot.
     u64 current_bytes() const noexcept {
         return bytes_now_.load(std::memory_order_relaxed);
     }
@@ -123,43 +163,124 @@ public:
     }
 
 private:
+    static constexpr std::size_t kShards = 32;
+    /// Buffered reads per thread stripe; a get that finds its buffer at
+    /// kDrainAt tries to drain, one that finds it full drops its touch.
+    static constexpr u32 kReadBufferSlots = 64;
+    static constexpr u32 kDrainAt = 16;
+
+    /// Map keys carry their hash, computed once per call: it picks the
+    /// shard, is the map's hash, and is the admission sketch's key.
     struct Key {
         std::string asset;
-        u32 parallelism;
-        bool operator==(const Key&) const = default;
+        u32 parallelism = 0;
+        u64 hash = 0;
+    };
+    struct KeyView {
+        std::string_view asset;
+        u32 parallelism = 0;
+        u64 hash = 0;
     };
     struct KeyHash {
-        std::size_t operator()(const Key& k) const noexcept {
-            return std::hash<std::string>{}(k.asset) * 0x9e3779b97f4a7c15ull ^
-                   k.parallelism;
+        using is_transparent = void;
+        std::size_t operator()(const Key& k) const noexcept { return k.hash; }
+        std::size_t operator()(const KeyView& k) const noexcept {
+            return k.hash;
         }
     };
+    struct KeyEq {
+        using is_transparent = void;
+        template <class A, class B>
+        bool operator()(const A& a, const B& b) const noexcept {
+            return a.hash == b.hash && a.parallelism == b.parallelism &&
+                   std::string_view(a.asset) == std::string_view(b.asset);
+        }
+    };
+    static KeyView key_view(std::string_view asset, u32 parallelism) noexcept {
+        return {asset, parallelism,
+                std::hash<std::string_view>{}(asset) * 0x9e3779b97f4a7c15ull ^
+                    parallelism};
+    }
+    static std::size_t shard_of(u64 hash) noexcept {
+        return static_cast<std::size_t>((hash * 0xff51afd7ed558ccdull) >> 59);
+    }
+    static_assert(kShards == 32, "shard_of() takes the top 5 bits");
+
     struct Entry {
         WireBytes wire;
         u32 splits = 0;
         EntryId id = kNoEntry;
     };
+    struct alignas(util::kCacheLine) Shard {
+        util::Mutex mu;
+        std::unordered_map<Key, Entry, KeyHash, KeyEq> map
+            RECOIL_GUARDED_BY(mu);
+    };
+    /// Where a policy id lives: its shard and its key (pointing into the
+    /// shard's node, stable until the node is erased under policy_mu_).
+    struct Location {
+        std::size_t shard = 0;
+        const Key* key = nullptr;
+    };
 
-    /// Remove one entry (found via the by-id index) and report it to the
-    /// policy; the caller decides whether it counts as an eviction.
-    void erase_entry_locked(EntryId id) RECOIL_REQUIRES(mu_);
-    void evict_until_locked(u64 target_bytes) RECOIL_REQUIRES(mu_);
-    void set_bytes_locked(u64 bytes) RECOIL_REQUIRES(mu_);
+    /// One buffered get: its steady-clock stamp, the entry it hit
+    /// (kNoEntry on a miss) and the admission record it owes.
+    struct ReadEvent {
+        u64 stamp_ns = 0;
+        EntryId id = kNoEntry;
+        u64 key_hash = 0;
+        bool record = false;
+    };
+    /// One thread stripe's read buffer, plus that stripe's share of the
+    /// read counters: a get takes this lock anyway, so counting costs no
+    /// extra atomic, and stats() sums the stripes.
+    struct alignas(util::kCacheLine) ReadBuffer {
+        util::Mutex mu;
+        std::array<ReadEvent, kReadBufferSlots> events RECOIL_GUARDED_BY(mu);
+        /// Events held. Written only under mu; also read without it by
+        /// drain_locked() to skip empty buffers (documented lock-free
+        /// escape: a racing append is concurrent with the drain anyway).
+        std::atomic<u32> size{0};
+        u64 hits RECOIL_GUARDED_BY(mu) = 0;
+        u64 misses RECOIL_GUARDED_BY(mu) = 0;
+        u64 hit_bytes RECOIL_GUARDED_BY(mu) = 0;
+        u64 drops RECOIL_GUARDED_BY(mu) = 0;
+    };
 
-    mutable util::Mutex mu_;
+    /// Apply every buffered event to the policies in stamp order.
+    void drain_locked() RECOIL_REQUIRES(policy_mu_);
+    /// Remove one entry from its shard and the policy; its wire moves into
+    /// `released`, to be dropped once the locks are. Not counted here.
+    void erase_entry_locked(EntryId id, std::vector<WireBytes>& released)
+        RECOIL_REQUIRES(policy_mu_);
+    void evict_until_locked(u64 target_bytes, std::vector<WireBytes>& released)
+        RECOIL_REQUIRES(policy_mu_);
+    /// Publish stats_.bytes to bytes_now_: the last step of every mutator.
+    void publish_bytes_locked() RECOIL_REQUIRES(policy_mu_);
+
     u64 capacity_;           ///< immutable after construction
     CachePolicyConfig policy_cfg_;  ///< immutable after construction
-    std::unique_ptr<EvictionPolicy> policy_ RECOIL_GUARDED_BY(mu_);
-    std::unique_ptr<AdmissionPolicy> admission_ RECOIL_GUARDED_BY(mu_);
-    std::unordered_map<Key, Entry, KeyHash> map_ RECOIL_GUARDED_BY(mu_);
-    /// Victim lookup: policy ids -> the map key holding that entry. Points
-    /// into map_ nodes (stable under rehash for node-based containers).
-    std::unordered_map<EntryId, const Key*> by_id_ RECOIL_GUARDED_BY(mu_);
-    EntryId next_id_ RECOIL_GUARDED_BY(mu_) = 1;
-    CacheStats stats_ RECOIL_GUARDED_BY(mu_);
+    /// Guards the policies, the id index and the mutator-side stats; every
+    /// map mutation holds it as well as the shard's own mutex.
+    mutable util::Mutex policy_mu_;
+    std::unique_ptr<EvictionPolicy> policy_ RECOIL_GUARDED_BY(policy_mu_);
+    std::unique_ptr<AdmissionPolicy> admission_
+        RECOIL_GUARDED_BY(policy_mu_);
+    /// Policy id -> entry location: the tracked set the drain checks
+    /// buffered touches against, and the victim lookup.
+    std::unordered_map<EntryId, Location> by_id_ RECOIL_GUARDED_BY(policy_mu_);
+    EntryId next_id_ RECOIL_GUARDED_BY(policy_mu_) = 1;
+    /// Mutator-side counters and gauges; hits/misses/hit_bytes/drops live
+    /// in the read buffers instead.
+    CacheStats stats_ RECOIL_GUARDED_BY(policy_mu_);
+    /// Drain scratch, kept to avoid an allocation per drain.
+    std::vector<ReadEvent> drained_ RECOIL_GUARDED_BY(policy_mu_);
+    mutable std::array<Shard, kShards> shards_;  ///< mutable: contains()
+    mutable std::array<ReadBuffer, util::kStripes> read_buffers_;  ///< stats()
     /// Lock-free mirror of stats_.bytes (documented escape): written only
-    /// by set_bytes_locked() under mu_, read without it by current_bytes()
-    /// so the governor's pressure probe never contends with the cache.
+    /// by publish_bytes_locked() under policy_mu_, read without it by
+    /// current_bytes() so the governor's pressure probe never contends
+    /// with the cache.
     std::atomic<u64> bytes_now_{0};
 };
 

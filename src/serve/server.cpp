@@ -230,33 +230,33 @@ ContentServer::ContentServer(ServerOptions opt)
 
 void ContentServer::init_telemetry() {
     using obs::MetricKind;
-    // The serve totals as polled callbacks over the same atomics totals()
-    // reads — registered regardless of the telemetry knob: polling costs
+    // The serve totals as polled callbacks over the same stripes totals()
+    // sums — registered regardless of the telemetry knob: polling costs
     // nothing until someone snapshots.
-    const auto poll = [this](const std::atomic<u64>& v) {
-        return [&v] { return v.load(std::memory_order_relaxed); };
+    const auto poll = [this](Total t) {
+        return [this, t] { return totals_.value(t); };
     };
     metrics_.register_callback("serve_requests_total", MetricKind::counter,
-                               poll(requests_));
+                               poll(kRequests));
     metrics_.register_callback("serve_failures_total", MetricKind::counter,
-                               poll(failures_));
+                               poll(kFailures));
     metrics_.register_callback("serve_cache_hits_total", MetricKind::counter,
-                               poll(cache_hits_));
+                               poll(kCacheHits));
     metrics_.register_callback("serve_range_requests_total",
-                               MetricKind::counter, poll(range_requests_));
+                               MetricKind::counter, poll(kRangeRequests));
     metrics_.register_callback("serve_streamed_requests_total",
-                               MetricKind::counter, poll(streamed_requests_));
+                               MetricKind::counter, poll(kStreamedRequests));
     metrics_.register_callback("serve_wire_bytes_total", MetricKind::counter,
-                               poll(wire_bytes_));
+                               poll(kWireBytes));
     metrics_.register_callback("serve_coalesced_requests_total",
-                               MetricKind::counter, poll(coalesced_));
+                               MetricKind::counter, poll(kCoalesced));
     metrics_.register_callback("serve_bytes_saved_total", MetricKind::counter,
-                               poll(bytes_saved_));
+                               poll(kBytesSaved));
     metrics_.register_callback("serve_governance_failures_total",
-                               MetricKind::counter,
-                               poll(governance_failures_));
-    metrics_.register_callback("serve_coalescing_waiters", MetricKind::gauge,
-                               poll(waiters_));
+                               MetricKind::counter, poll(kGovernanceFailures));
+    metrics_.register_callback(
+        "serve_coalescing_waiters", MetricKind::gauge,
+        [this] { return waiters_.load(std::memory_order_relaxed); });
     // Execution-substrate gauge: which SIMD backend dispatch selected
     // (0=scalar 1=avx2 2=avx512), polled at snapshot time.
     metrics_.register_callback("simd_backend", MetricKind::gauge, [] {
@@ -280,20 +280,21 @@ void ContentServer::init_telemetry() {
 }
 
 ServeResult ContentServer::serve(const ServeRequest& req) noexcept {
-    const u64 tick = requests_.fetch_add(1, std::memory_order_relaxed);
+    const u64 tick = totals_.add(kRequests);
     obs::TraceContext trace = sample_tick(tick)
                                   ? obs::TraceContext("serve", req.asset)
                                   : obs::TraceContext();
-    Stopwatch total;
+    const u64 start_ns = steady_now_ns();
     ServeResult res;
     try {
-        res = serve_impl(req, trace);
+        res = serve_impl(req, trace, start_ns);
     } catch (const ProtocolError& e) {
         res = fail(e.code(), e.what());
     } catch (const std::exception& e) {
         res = fail(ErrorCode::internal, e.what());
     }
-    res.stats.total_seconds = total.seconds();
+    res.stats.total_seconds =
+        static_cast<double>(steady_now_ns() - start_ns) * 1e-9;
     // Histograms ride the sampling decision (trace.active()), so the
     // distributions describe exactly the sampled requests.
     if (trace.active() && h_request_ != nullptr)
@@ -303,7 +304,7 @@ ServeResult ContentServer::serve(const ServeRequest& req) noexcept {
         if (res.stats.cache_hit && trace.active() && h_hit_ != nullptr)
             h_hit_->observe(res.stats.total_seconds);
     } else {
-        failures_.fetch_add(1, std::memory_order_relaxed);
+        totals_.add(kFailures);
     }
     finish_trace(trace, res);
     // The request may have demand-loaded an asset or grown the cache; if
@@ -314,14 +315,14 @@ ServeResult ContentServer::serve(const ServeRequest& req) noexcept {
 }
 
 void ContentServer::count_served(const ServeStats& stats) noexcept {
-    wire_bytes_.fetch_add(stats.wire_bytes, std::memory_order_relaxed);
+    totals_.add(kWireBytes, stats.wire_bytes);
     if (stats.cache_hit) {
-        cache_hits_.fetch_add(1, std::memory_order_relaxed);
-        bytes_saved_.fetch_add(stats.wire_bytes, std::memory_order_relaxed);
+        totals_.add(kCacheHits);
+        totals_.add(kBytesSaved, stats.wire_bytes);
     }
     if (stats.coalesced) {
-        coalesced_.fetch_add(1, std::memory_order_relaxed);
-        bytes_saved_.fetch_add(stats.wire_bytes, std::memory_order_relaxed);
+        totals_.add(kCoalesced);
+        totals_.add(kBytesSaved, stats.wire_bytes);
     }
 }
 
@@ -400,7 +401,7 @@ void ContentServer::note_governance_failure(u16 code, std::string code_name,
     // invariant tripping) must not take a serve path down with it — but it
     // must not vanish either: the counter surfaces in Totals, and the slow
     // log keeps WHAT failed as a structured event with the typed code.
-    governance_failures_.fetch_add(1, std::memory_order_relaxed);
+    totals_.add(kGovernanceFailures);
     if (!opt_.telemetry) return;
     try {
         obs::TraceRecord rec;
@@ -416,17 +417,19 @@ void ContentServer::note_governance_failure(u16 code, std::string code_name,
     }
 }
 
-ContentServer::Prepared ContentServer::prepare(const ServeRequest& req) {
+ContentServer::Prepared ContentServer::prepare(const ServeRequest& req,
+                                               u64 start_ns) {
     auto asset = store_.resolve(req.asset);
     if (asset == nullptr)
         throw ProtocolError(ErrorCode::unknown_asset,
                             "serve: unknown asset '" + req.asset + "'");
-    governor_.note_access(req.asset);  // recency clock for pressure unloads
+    governor_.note_access(*asset, start_ns);  // recency for pressure unloads
 
     Prepared p;
     p.asset = std::move(asset);
+    p.start_ns = start_ns;
     if (req.range) {
-        range_requests_.fetch_add(1, std::memory_order_relaxed);
+        totals_.add(kRangeRequests);
         if ((req.accept & kAcceptRange) == 0)
             throw ProtocolError(ErrorCode::not_acceptable,
                                 "serve: client does not accept range wires");
@@ -473,10 +476,11 @@ u32 ContentServer::produce(const Prepared& p, WirePieces& pieces,
 }
 
 ServeResult ContentServer::serve_impl(const ServeRequest& req,
-                                      obs::TraceContext& trace) {
+                                      obs::TraceContext& trace,
+                                      u64 start_ns) {
     const Prepared p = [&] {
         auto span = trace.span("prepare", h_prepare_);
-        return prepare(req);
+        return prepare(req, start_ns);
     }();
     ServeResult res;
     res.payload = p.payload;
@@ -507,7 +511,8 @@ ServedWire ContentServer::serve_shared(const Prepared& p, ServeStats& stats,
     if (p.use_cache) {
         obs::TraceContext::Scoped span(trace, "cache_lookup", nullptr);
         u32 splits = 0;
-        if (WireBytes wire = cache_.get(p.key, p.parallelism, &splits)) {
+        if (WireBytes wire = cache_.get(p.key, p.parallelism, &splits,
+                                        /*record_access=*/true, p.start_ns)) {
             stats.cache_hit = true;
             return {std::move(wire), splits};
         }
@@ -543,7 +548,8 @@ ServedWire ContentServer::serve_shared(const Prepared& p, ServeStats& stats,
     if (p.use_cache) {
         u32 splits = 0;
         if (WireBytes cached = cache_.get(p.key, p.parallelism, &splits,
-                                          /*record_access=*/false)) {
+                                          /*record_access=*/false,
+                                          p.start_ns)) {
             ServedWire wire{std::move(cached), splits};
             retire_flight(flight_key, flight, &wire, ErrorCode::ok, {});
             stats.cache_hit = true;
@@ -613,8 +619,8 @@ void ContentServer::retire_flight(const std::string& flight_key,
 
 ServeStream ContentServer::serve_stream(const ServeRequest& req,
                                         StreamOptions opt) noexcept {
-    const u64 tick = requests_.fetch_add(1, std::memory_order_relaxed);
-    streamed_requests_.fetch_add(1, std::memory_order_relaxed);
+    const u64 tick = totals_.add(kRequests);
+    totals_.add(kStreamedRequests);
     if (opt.max_frame_bytes == 0) opt.max_frame_bytes = kDefaultMaxFrameBytes;
     if (opt.prefix_frame_bytes == 0)
         opt.prefix_frame_bytes = kDefaultPrefixFrameBytes;
@@ -636,7 +642,7 @@ ServeStream ContentServer::serve_stream(const ServeRequest& req,
                 "serve: client does not accept streamed responses");
         const Prepared p = [&] {
             auto span = st->trace.span("prepare", h_prepare_);
-            return prepare(req);
+            return prepare(req, steady_now_ns());
         }();
         st->head.payload = p.payload;
         if (p.use_cache && opt.use_cache) {
@@ -664,11 +670,11 @@ ServeStream ContentServer::serve_stream(const ServeRequest& req,
         count_served(stats);
         st->seek(opt.resume_offset);
     } catch (const ProtocolError& e) {
-        failures_.fetch_add(1, std::memory_order_relaxed);
+        totals_.add(kFailures);
         st->pieces.clear();
         st->head = fail(e.code(), e.what());
     } catch (const std::exception& e) {
-        failures_.fetch_add(1, std::memory_order_relaxed);
+        totals_.add(kFailures);
         st->pieces.clear();
         st->head = fail(ErrorCode::internal, e.what());
     }
@@ -686,8 +692,8 @@ std::vector<u8> ContentServer::serve_frame(
             req = decode_request(request_frame);
             if (h_decode_ != nullptr) h_decode_->observe(decode.seconds());
         } catch (const ProtocolError& e) {
-            requests_.fetch_add(1, std::memory_order_relaxed);
-            failures_.fetch_add(1, std::memory_order_relaxed);
+            totals_.add(kRequests);
+            totals_.add(kFailures);
             return encode_response(fail(e.code(), e.what()));
         }
         // Reserved "!..." names are introspection, answered from the
@@ -705,7 +711,7 @@ std::vector<u8> ContentServer::serve_frame(
 
 ServeResult ContentServer::serve_introspection(
     const ServeRequest& req) noexcept {
-    requests_.fetch_add(1, std::memory_order_relaxed);
+    totals_.add(kRequests);
     ServeResult res;
     try {
         if ((req.accept & kAcceptMetrics) == 0)
@@ -726,10 +732,10 @@ ServeResult ContentServer::serve_introspection(
         res.wire = share(std::vector<u8>(body.begin(), body.end()));
         res.stats.wire_bytes = res.wire->size();
     } catch (const ProtocolError& e) {
-        failures_.fetch_add(1, std::memory_order_relaxed);
+        totals_.add(kFailures);
         res = fail(e.code(), e.what());
     } catch (const std::exception& e) {
-        failures_.fetch_add(1, std::memory_order_relaxed);
+        totals_.add(kFailures);
         res = fail(ErrorCode::internal, e.what());
     }
     return res;
@@ -742,16 +748,15 @@ bool ContentServer::evict_asset(const std::string& name) {
 
 ContentServer::Totals ContentServer::totals() const noexcept {
     Totals t;
-    t.requests = requests_.load(std::memory_order_relaxed);
-    t.failures = failures_.load(std::memory_order_relaxed);
-    t.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-    t.range_requests = range_requests_.load(std::memory_order_relaxed);
-    t.streamed_requests = streamed_requests_.load(std::memory_order_relaxed);
-    t.wire_bytes = wire_bytes_.load(std::memory_order_relaxed);
-    t.coalesced_requests = coalesced_.load(std::memory_order_relaxed);
-    t.bytes_saved = bytes_saved_.load(std::memory_order_relaxed);
-    t.governance_failures =
-        governance_failures_.load(std::memory_order_relaxed);
+    t.requests = totals_.value(kRequests);
+    t.failures = totals_.value(kFailures);
+    t.cache_hits = totals_.value(kCacheHits);
+    t.range_requests = totals_.value(kRangeRequests);
+    t.streamed_requests = totals_.value(kStreamedRequests);
+    t.wire_bytes = totals_.value(kWireBytes);
+    t.coalesced_requests = totals_.value(kCoalesced);
+    t.bytes_saved = totals_.value(kBytesSaved);
+    t.governance_failures = totals_.value(kGovernanceFailures);
     return t;
 }
 

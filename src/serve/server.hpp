@@ -32,6 +32,7 @@
 #include "serve/governor.hpp"
 #include "serve/metadata_cache.hpp"
 #include "serve/protocol.hpp"
+#include "util/striped_counter.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace recoil::serve {
@@ -253,6 +254,9 @@ private:
     /// and streaming paths so negotiation/validation cannot diverge.
     struct Prepared {
         std::shared_ptr<const Asset> asset;
+        /// steady_now_ns() at the request's start: the access stamp for
+        /// the governor's recency and the cache's read buffer.
+        u64 start_ns = 0;
         std::string key;       ///< response cache key
         u32 parallelism = 0;   ///< clamped; 0 for range requests
         bool use_cache = true;
@@ -260,14 +264,15 @@ private:
         std::optional<std::pair<u64, u64>> range;
     };
     /// Resolve + validate + negotiate. Throws ProtocolError (typed) on any
-    /// failure; counts the request in range_requests_ when applicable.
-    Prepared prepare(const ServeRequest& req);
+    /// failure; counts the request in the range total when applicable.
+    Prepared prepare(const ServeRequest& req, u64 start_ns);
     /// A miss combine: run the combine_hook, then the prepared production
     /// into `pieces` under a "combine" span; returns the splits carried.
     u32 produce(const Prepared& p, WirePieces& pieces,
                 obs::TraceContext* trace);
 
-    ServeResult serve_impl(const ServeRequest& req, obs::TraceContext& trace);
+    ServeResult serve_impl(const ServeRequest& req, obs::TraceContext& trace,
+                           u64 start_ns);
     /// Cache lookup + single-flight combine for one response key. `asset`
     /// is the asset the key was derived from: after the combine, the wire
     /// enters the cache only if that asset is still current (the
@@ -306,11 +311,12 @@ private:
     /// Register the serve_* callback metrics, bind the subsystems, and
     /// (telemetry on) create the per-phase histograms.
     void init_telemetry();
-    /// True when the request holding requests_ tick `tick` should take the
-    /// timed path (active trace + histograms): telemetry on, and the
-    /// 1-in-sample_every toss hits. Piggybacks on the totals counter the
-    /// serve path bumps anyway — sampling adds zero extra atomics — and
-    /// power-of-two rates (the sane choices) go through a divide-free mask.
+    /// True when the request holding tick `tick` should take the timed path
+    /// (active trace + histograms): telemetry on, and the 1-in-sample_every
+    /// toss hits. The tick is the caller's stripe of the requests total
+    /// (StripedCounter::add's return), so sampling adds zero extra atomics
+    /// and a single thread samples ticks 0, N, 2N, ...; power-of-two rates
+    /// (the sane choices) go through a divide-free mask.
     bool sample_tick(u64 tick) const noexcept {
         if (!opt_.telemetry) return false;
         if (opt_.sample_every <= 1) return true;
@@ -333,19 +339,26 @@ private:
     util::Mutex flights_mu_;
     std::unordered_map<std::string, std::shared_ptr<Flight>> flights_
         RECOIL_GUARDED_BY(flights_mu_);
-    /// The totals block below is all relaxed atomics — the documented
-    /// lock-free escape for the serve hot path (totals()/sampling/metrics
-    /// callbacks read them without any lock).
+    /// Requests parked on an in-flight combine: a relaxed atomic gauge (the
+    /// documented lock-free escape), touched only on the coalescing path.
     std::atomic<u64> waiters_{0};
-    std::atomic<u64> requests_{0};
-    std::atomic<u64> failures_{0};
-    std::atomic<u64> cache_hits_{0};
-    std::atomic<u64> range_requests_{0};
-    std::atomic<u64> streamed_requests_{0};
-    std::atomic<u64> wire_bytes_{0};
-    std::atomic<u64> coalesced_{0};
-    std::atomic<u64> bytes_saved_{0};
-    std::atomic<u64> governance_failures_{0};
+    /// Indices into totals_, one per Totals counter.
+    enum Total : std::size_t {
+        kRequests,
+        kFailures,
+        kCacheHits,
+        kRangeRequests,
+        kStreamedRequests,
+        kWireBytes,
+        kCoalesced,
+        kBytesSaved,
+        kGovernanceFailures,
+        kTotalCount
+    };
+    /// The serve totals, striped per thread so concurrent requests bump
+    /// their own cache lines (relaxed atomics: the documented lock-free
+    /// escape; totals()/metrics callbacks sum the stripes without a lock).
+    util::StripedCounter<kTotalCount> totals_;
     u64 sample_mask_ = 0;  ///< sample_every-1 when a power of two, else 0
     obs::MetricsRegistry metrics_;
     obs::SlowRequestLog slow_log_;

@@ -3,7 +3,19 @@
 
 #include <chrono>
 
+#include "util/ints.hpp"
+
 namespace recoil {
+
+/// Steady-clock nanoseconds since the clock's epoch: the one timestamp the
+/// serve stack's recency stamps are taken from, so stamps taken in
+/// different components order consistently.
+inline u64 steady_now_ns() noexcept {
+    return static_cast<u64>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count());
+}
 
 class Stopwatch {
 public:

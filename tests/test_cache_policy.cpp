@@ -8,14 +8,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <list>
 #include <thread>
 #include <vector>
 
 #include "serve/session.hpp"
 #include "serve/store.hpp"
 #include "test_util.hpp"
+#include "workload/datasets.hpp"
 
 namespace recoil::serve {
 namespace {
@@ -132,6 +136,95 @@ TEST(CachePolicy, HitBytesAccumulateForByteHitRate) {
     EXPECT_EQ(s.hits, 2u);
     EXPECT_EQ(s.hit_bytes, 600u);
     EXPECT_EQ(s.misses, 1u);
+}
+
+// ---- read-buffered touches stay exact across threads ----
+
+/// Keys evicted by each step of a get-else-put replay of `plan`, probed
+/// with contains() (which neither touches nor records) over every key.
+/// With `two_threads`, consecutive steps run on alternating threads,
+/// strictly one after another: a serial request stream whose buffered
+/// touches land in two different read buffers.
+std::vector<std::vector<u32>> victim_sequence(const CachePolicyConfig& cfg,
+                                              u64 capacity,
+                                              const std::vector<u32>& plan,
+                                              const std::vector<WireBytes>& wires,
+                                              bool two_threads) {
+    MetadataCache cache(capacity, cfg);
+    std::vector<std::vector<u32>> victims(plan.size());
+    std::vector<bool> resident(wires.size(), false);
+    auto step = [&](std::size_t i) {
+        const std::string key = "k" + std::to_string(plan[i]);
+        if (cache.get(key, 1) == nullptr) cache.put(key, 1, wires[plan[i]]);
+        for (u32 k = 0; k < wires.size(); ++k) {
+            const bool now = cache.contains("k" + std::to_string(k), 1);
+            if (resident[k] && !now) victims[i].push_back(k);
+            resident[k] = now;
+        }
+    };
+    if (!two_threads) {
+        for (std::size_t i = 0; i < plan.size(); ++i) step(i);
+        return victims;
+    }
+    std::atomic<std::size_t> turn{0};
+    auto worker = [&](std::size_t parity) {
+        for (std::size_t i = parity; i < plan.size(); i += 2) {
+            while (turn.load(std::memory_order_acquire) != i)
+                std::this_thread::yield();
+            step(i);
+            turn.store(i + 1, std::memory_order_release);
+        }
+    };
+    std::thread a(worker, 0), b(worker, 1);
+    a.join();
+    b.join();
+    return victims;
+}
+
+TEST(CachePolicy, SerialRequestsOnTwoThreadsEvictLikeOneThread) {
+    constexpr u32 kKeys = 24;
+    const std::vector<u32> plan = workload::zipf_plan(kKeys, 3000, 1.1, 77);
+    std::vector<WireBytes> wires;
+    u64 total = 0;
+    for (u32 k = 0; k <= kKeys; ++k) {
+        wires.push_back(wire_of(1000 + 97 * k, u8(k)));
+        total += wires.back()->size();
+    }
+    const u64 capacity = total / 4;
+
+    // Reference LRU, independent of the cache: front = most recent.
+    std::vector<std::vector<u32>> reference(plan.size());
+    {
+        std::list<u32> order;
+        u64 bytes = 0;
+        for (std::size_t i = 0; i < plan.size(); ++i) {
+            const u32 k = plan[i];
+            auto it = std::find(order.begin(), order.end(), k);
+            if (it != order.end()) {
+                order.splice(order.begin(), order, it);
+                continue;
+            }
+            order.push_front(k);
+            bytes += wires[k]->size();
+            while (bytes > capacity) {
+                reference[i].push_back(order.back());
+                bytes -= wires[order.back()]->size();
+                order.pop_back();
+            }
+            std::sort(reference[i].begin(), reference[i].end());
+        }
+    }
+    const auto lru = victim_sequence({}, capacity, plan, wires, true);
+    EXPECT_EQ(lru, reference);
+
+    const auto cfg = parse_cache_policy("slru-tinylfu");
+    ASSERT_TRUE(cfg.has_value());
+    const auto one = victim_sequence(*cfg, capacity, plan, wires, false);
+    const auto two = victim_sequence(*cfg, capacity, plan, wires, true);
+    EXPECT_EQ(two, one);
+    std::size_t evicted = 0;
+    for (const auto& v : one) evicted += v.size();
+    EXPECT_GT(evicted, 100u) << "the plan must exercise eviction";
 }
 
 // ---- segmented LRU ----
@@ -297,6 +390,28 @@ TEST(Governor, UnloadsColdestBackedAssetsFirst) {
     EXPECT_TRUE(rig.store.is_current(*back));
 }
 
+TEST(Governor, RecencyStampMovesOnlyAfterItsGrain) {
+    GovernedRig rig;
+    const auto asset = rig.store.encode_bytes("a", asset_bytes(20000, 9), 8);
+    ResourceGovernor off(rig.store, rig.cache, GovernorOptions{0});
+    off.note_access("a");
+    EXPECT_EQ(asset->last_access_ns(), 0u) << "disabled governor stamped";
+
+    ResourceGovernor gov(rig.store, rig.cache, GovernorOptions{u64{1} << 40});
+    gov.note_access("a");
+    const u64 first = asset->last_access_ns();
+    EXPECT_NE(first, 0u);
+    gov.note_access(*asset, steady_now_ns());  // within the grain: kept
+    EXPECT_EQ(asset->last_access_ns(), first);
+    std::this_thread::sleep_for(std::chrono::nanoseconds(
+        2 * ResourceGovernor::kRecencyGrainNs));
+    gov.note_access(*asset, steady_now_ns());
+    EXPECT_GT(asset->last_access_ns(), first);
+    const auto residents = rig.store.residency();
+    ASSERT_EQ(residents.size(), 1u);
+    EXPECT_EQ(residents[0].last_access_ns, asset->last_access_ns());
+}
+
 TEST(Governor, PinnedAssetsRideOutPressure) {
     TempDir dir("pinned");
     GovernedRig rig;
@@ -429,6 +544,57 @@ TEST(Governor, DisabledGovernorNeverActs) {
     EXPECT_EQ(gov.enforce(), 0u);
     EXPECT_NE(rig.store.find("a"), nullptr);
     EXPECT_EQ(rig.cache.stats().entries, 1u);
+}
+
+TEST(Governor, TransientCacheOvershootNeverUnloads) {
+    // A put inserts before it evicts back under capacity. With the budget
+    // exactly masters + cache capacity, only that transient can cross it,
+    // so a governor probing concurrently must never see it: the cache
+    // publishes its size once the put has finished evicting. Each big put
+    // lands on a cache full of small entries and evicts dozens of them one
+    // by one, which keeps the transient open long enough to be seen.
+    TempDir dir("overshoot");
+    constexpr u64 kCapacity = u64{64} << 10;
+    GovernedRig rig(kCapacity);
+    rig.store.attach_backing(std::make_shared<DiskStore>(dir.path));
+    for (int i = 0; i < 4; ++i)
+        rig.store.encode_bytes("a" + std::to_string(i),
+                               asset_bytes(40000, 70 + i), 8);
+    const u64 resident = rig.store.resident_bytes();
+    ResourceGovernor gov(rig.store, rig.cache,
+                         GovernorOptions{resident + kCapacity});
+
+    const WireBytes big = wire_of(48 << 10, 1);
+    const WireBytes small = wire_of(1 << 10, 2);
+    std::atomic<bool> done{false};
+    std::atomic<u64> over_capacity{0};
+    std::thread prober([&] {
+        while (!done.load(std::memory_order_relaxed)) {
+            if (rig.cache.current_bytes() > kCapacity)
+                over_capacity.fetch_add(1, std::memory_order_relaxed);
+            if (gov.pressure_actionable()) gov.enforce();
+        }
+    });
+    std::vector<std::thread> putters;
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
+    for (int t = 0; t < 2; ++t)
+        putters.emplace_back([&, t] {
+            for (int i = 0; std::chrono::steady_clock::now() < until; ++i) {
+                const std::string key =
+                    "t" + std::to_string(t) + "k" + std::to_string(i);
+                rig.cache.put(key, 1, i % 64 == 0 ? big : small);
+            }
+        });
+    for (auto& p : putters) p.join();
+    done.store(true, std::memory_order_relaxed);
+    prober.join();
+
+    EXPECT_GT(rig.cache.stats().evictions, 5000u);  // puts did overshoot
+    EXPECT_EQ(over_capacity.load(), 0u);
+    EXPECT_EQ(gov.stats().unloads, 0u);
+    EXPECT_EQ(rig.store.resident_bytes(), resident);
+    EXPECT_LE(rig.cache.current_bytes(), kCapacity);
 }
 
 // ---- governor vs in-flight streams (end-to-end through ContentServer) ----

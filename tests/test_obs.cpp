@@ -271,6 +271,44 @@ TEST(Trace, InactiveContextRecordsNothingAndCapsAtMaxSpans) {
               static_cast<std::size_t>(TraceContext::kMaxSpans));
 }
 
+TEST(StripedCounter, SumsEverySlotAndSequencesPerThread) {
+    util::StripedCounter<2> c;
+    // add() returns the caller's slot value: a per-thread sequence.
+    EXPECT_EQ(c.add(0), 0u);
+    EXPECT_EQ(c.add(0), 1u);
+    EXPECT_EQ(c.add(0), 2u);
+    constexpr int kThreads = 8;
+    constexpr u64 kAdds = 10000;
+    std::vector<std::thread> ts;
+    for (int t = 0; t < kThreads; ++t)
+        ts.emplace_back([&] {
+            for (u64 i = 0; i < kAdds; ++i) c.add(1, 3);
+        });
+    for (auto& t : ts) t.join();
+    EXPECT_EQ(c.value(0), 3u);
+    EXPECT_EQ(c.value(1), kThreads * kAdds * 3);
+}
+
+TEST(Trace, IdsAreUniqueAcrossThreads) {
+    constexpr int kThreads = 4;
+    constexpr int kIds = 3000;  // spans several per-thread blocks
+    std::vector<std::vector<u64>> ids(kThreads);
+    std::vector<std::thread> ts;
+    for (int t = 0; t < kThreads; ++t)
+        ts.emplace_back([&ids, t] {
+            for (int i = 0; i < kIds; ++i) ids[t].push_back(next_trace_id());
+        });
+    for (auto& t : ts) t.join();
+    std::vector<u64> all;
+    for (const auto& v : ids) {
+        EXPECT_TRUE(std::is_sorted(v.begin(), v.end()));
+        all.insert(all.end(), v.begin(), v.end());
+    }
+    std::sort(all.begin(), all.end());
+    EXPECT_EQ(std::adjacent_find(all.begin(), all.end()), all.end());
+    EXPECT_NE(all.front(), 0u);
+}
+
 TEST(Trace, IdsAreProcessWideUnique) {
     const u64 a = next_trace_id();
     const u64 b = next_trace_id();
@@ -298,7 +336,8 @@ const char* const kFrozenScalars[] = {
     "cache_hits_total", "cache_misses_total", "cache_hit_bytes_total",
     "cache_insertions_total", "cache_evictions_total", "cache_rejected_total",
     "cache_admission_rejected_total", "cache_peak_bytes", "cache_bytes",
-    "cache_entries", "cache_capacity_bytes",
+    "cache_entries", "cache_capacity_bytes", "cache_read_buffer_drops_total",
+    "cache_read_drains_total",
     "governor_budget_bytes", "governor_cache_bytes",
     "governor_resident_bytes", "governor_enforcements_total",
     "governor_unloads_total", "governor_bytes_unloaded_total",
