@@ -1,10 +1,11 @@
 // Serve-subsystem benchmark: warm- vs cold-cache serve latency for a
 // 2176-split asset (the paper's "Large" parallelism), byte-range wire cost,
-// single-flight coalescing under a concurrent cold stampede, aggregate
-// request throughput for a mixed fleet of client classes driven through the
-// async Session API, a cache-policy study (LRU vs SLRU vs TinyLFU-gated)
-// under scan-polluted Zipf traffic, and cold-boot-from-disk time for a
-// persistent store (mmap + zero-copy parse vs re-encoding the master).
+// single-flight coalescing under a concurrent cold stampede (gated at
+// exactly one combine), aggregate request throughput for a mixed fleet of
+// client classes served from plain threads, a cache-policy study (LRU vs
+// SLRU vs TinyLFU-gated) under scan-polluted Zipf traffic, and
+// cold-boot-from-disk time for a persistent store (mmap + zero-copy parse
+// vs re-encoding the master).
 // Every repeated-measurement section reports p50/p99/p999 (log2-bucket
 // histograms from the obs layer), a telemetry-overhead section pins the
 // registry's warm-hit cost at <= 2%, a range-decode sweep pins the guarded
@@ -29,7 +30,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <future>
+#include <latch>
 #include <memory>
 #include <string>
 #include <thread>
@@ -43,7 +44,7 @@
 #include "rans/indexed_model.hpp"
 #include "rans/static_model.hpp"
 #include "serve/range_wire.hpp"
-#include "serve/session.hpp"
+#include "serve/server.hpp"
 #include "serve/store.hpp"
 #include "util/xoshiro.hpp"
 
@@ -153,6 +154,32 @@ unsigned process_threads() {
         if (std::sscanf(line, "Threads: %u", &count) == 1) break;
     std::fclose(f);
     return count;
+}
+
+/// Serve `reqs` from `threads` plain threads released together by one start
+/// latch; each thread pulls the next unserved request until none is left.
+/// Results come back in request order; `wall_s` is the time from the
+/// release to the last join.
+std::vector<ServeResult> serve_concurrently(ContentServer& server,
+                                            const std::vector<ServeRequest>& reqs,
+                                            unsigned threads, double& wall_s) {
+    std::vector<ServeResult> results(reqs.size());
+    std::atomic<std::size_t> next{0};
+    std::latch start(1);
+    std::vector<std::thread> ts;
+    ts.reserve(threads);
+    for (unsigned t = 0; t < threads; ++t)
+        ts.emplace_back([&] {
+            start.wait();
+            for (std::size_t i = next.fetch_add(1); i < reqs.size();
+                 i = next.fetch_add(1))
+                results[i] = server.serve(reqs[i]);
+        });
+    Stopwatch sw;
+    start.count_down();
+    for (auto& t : ts) t.join();
+    wall_s = sw.seconds();
+    return results;
 }
 
 /// Defeats dead-code elimination of the timed decode loops.
@@ -391,20 +418,31 @@ int main(int argc, char** argv) {
                     simd_best_speedup);
     }
 
-    // --- cold stampede: single-flight coalescing through the Session ---
+    // --- cold stampede: single-flight coalescing from plain threads ---
+    // One thread per request, all released by one latch. Single flight plus
+    // the cache allow exactly one combine whatever the timing (followers
+    // share the leader's wire; later arrivals hit the cache it filled), so
+    // `combines` is gated at 1; how many requests coalesced rather than hit
+    // depends on the overlap and is only reported.
     const unsigned stampede = 32;
+    u64 stampede_combines = 0;
     server.cache().clear();
     const auto before = server.totals();
     const auto stampede_h0 = server_hist(server, "serve_request_seconds");
     {
-        Session session(server, {8});
-        std::vector<std::shared_future<ServeResult>> futs;
-        for (unsigned i = 0; i < stampede; ++i)
-            futs.push_back(
-                session.submit(ServeRequest{"asset", 16, std::nullopt}));
-        Stopwatch sw;
-        session.wait_idle();
-        const double s = sw.seconds();
+        double s = 0;
+        const auto results = serve_concurrently(
+            server,
+            std::vector<ServeRequest>(stampede,
+                                      ServeRequest{"asset", 16, std::nullopt}),
+            stampede, s);
+        for (const ServeResult& r : results) {
+            if (!r.ok()) {
+                std::fprintf(stderr, "stampede serve failed\n");
+                return 1;
+            }
+            if (!r.stats.cache_hit && !r.stats.coalesced) ++stampede_combines;
+        }
         const auto after = server.totals();
         const u64 coalesced = after.coalesced_requests - before.coalesced_requests;
         const u64 cache_hits = after.cache_hits - before.cache_hits;
@@ -412,8 +450,7 @@ int main(int argc, char** argv) {
                     "%llu combines, %llu coalesced, %llu cache hits, "
                     "%.1f MB recombination saved\n",
                     stampede, s * 1e3,
-                    static_cast<unsigned long long>(stampede - coalesced -
-                                                    cache_hits),
+                    static_cast<unsigned long long>(stampede_combines),
                     static_cast<unsigned long long>(coalesced),
                     static_cast<unsigned long long>(cache_hits),
                     static_cast<double>(after.bytes_saved - before.bytes_saved) /
@@ -426,17 +463,14 @@ int main(int argc, char** argv) {
                     lat.p50() * 1e6, lat.p99() * 1e6, lat.p999() * 1e6);
         report.field("stampede",
                      "{\"wall_ms\": " + JsonReport::num(s * 1e3) +
+                         ", \"combines\": " +
+                         JsonReport::num(stampede_combines) +
                          ", \"coalesced\": " + JsonReport::num(coalesced) +
                          ", \"cache_hits\": " + JsonReport::num(cache_hits) +
                          ", \"latency\": " + pct_json(lat) + "}");
-        for (auto& f : futs)
-            if (!f.get().ok()) {
-                std::fprintf(stderr, "stampede serve failed\n");
-                return 1;
-            }
     }
 
-    // --- mixed-fleet aggregate throughput through the async session ---
+    // --- mixed-fleet aggregate throughput from nproc plain threads ---
     std::vector<ServeRequest> mix;
     Xoshiro256 rng(7);
     for (int i = 0; i < 512; ++i) {
@@ -457,28 +491,25 @@ int main(int argc, char** argv) {
 
     const auto fleet_before = server.totals();
     const auto fleet_h0 = server_hist(server, "serve_request_seconds");
-    Session session(server, {static_cast<unsigned>(
-                        std::thread::hardware_concurrency())});
+    const unsigned fleet_threads =
+        std::max(1u, std::thread::hardware_concurrency());
     double total_s = 0;
     u64 total_bytes = 0, hits = 0;
     for (int run = 0; run < n; ++run) {
-        std::vector<std::shared_future<ServeResult>> futs;
-        futs.reserve(mix.size());
-        Stopwatch sw;
-        for (const auto& r : mix) futs.push_back(session.submit(r));
-        session.wait_idle();
-        total_s += sw.seconds();
-        std::vector<ServeResult> results;
-        results.reserve(futs.size());
-        for (auto& f : futs) results.push_back(f.get());
-        const BatchStats b = summarize(results);
-        if (b.failures != 0) {
+        double s = 0;
+        const auto results = serve_concurrently(server, mix, fleet_threads, s);
+        total_s += s;
+        u64 failures = 0;
+        for (const ServeResult& r : results) {
+            if (!r.ok()) ++failures;
+            if (r.stats.cache_hit) ++hits;
+            total_bytes += r.stats.wire_bytes;
+        }
+        if (failures != 0) {
             std::fprintf(stderr, "batch had %llu failures\n",
-                         static_cast<unsigned long long>(b.failures));
+                         static_cast<unsigned long long>(failures));
             return 1;
         }
-        total_bytes += b.wire_bytes;
-        hits += b.cache_hits;
     }
     const auto fleet_after = server.totals();
     const double reqs_per_s = n * static_cast<double>(mix.size()) / total_s;
@@ -525,7 +556,7 @@ int main(int argc, char** argv) {
         const u64 psize = std::max<u64>(size / 10, 50'000);
         auto pdata = workload::gen_text(psize, 4242);
         const int preqs = quick ? 300 : 900;
-        // Same generator as test_session's hit-rate regressions
+        // Same generator as test_single_flight's hit-rate regressions
         // (workload::zipf_plan), so test and bench measure one trace model.
         const std::vector<u32> plan =
             workload::zipf_plan(32, static_cast<std::size_t>(preqs), 1.2,
@@ -1299,6 +1330,13 @@ int main(int argc, char** argv) {
                      "telemetry overhead %.2f%% (+%.0f ns) exceeded the "
                      "2%%-or-20 ns warm-hit budget\n",
                      100.0 * telemetry_overhead, telemetry_delta_ns);
+        return 1;
+    }
+    if (stampede_combines != 1) {
+        std::fprintf(stderr,
+                     "cold stampede ran %llu combines — single flight and "
+                     "the cache allow exactly 1\n",
+                     static_cast<unsigned long long>(stampede_combines));
         return 1;
     }
     if (!quick && scale_threads >= 4 && warm_scaling < 1.5) {

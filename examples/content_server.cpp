@@ -25,7 +25,7 @@
 // served to demonstrate pressure unloads live.
 //
 // `--metrics-json PATH` dumps the unified telemetry snapshot (every serve /
-// cache / governor / store / session counter plus the per-phase latency
+// cache / governor / store counter plus the per-phase latency
 // histograms) as JSON at exit; the same snapshot is also fetched over the
 // wire via the reserved "!metrics" introspection asset to prove the
 // exposition surface works end to end. `--trace-log PATH` dumps the slow
@@ -35,10 +35,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <future>
+#include <latch>
+#include <thread>
 
 #include "core/recoil_decoder.hpp"
-#include "serve/session.hpp"
+#include "serve/server.hpp"
 #include "serve/store.hpp"
 #include "simd/dispatch.hpp"
 #include "util/stopwatch.hpp"
@@ -245,19 +246,24 @@ int main(int argc, char** argv) {
         std::printf("\n");
     }
 
-    // Cold stampede: 24 identical cold requests through the async Session;
-    // single-flight coalescing shares one combine's wire, the rest of the
-    // burst hits the cache the leader populated.
+    // Cold stampede: 24 identical cold requests from 24 threads released
+    // together; single-flight coalescing shares one combine's wire, the rest
+    // of the burst hits the cache the leader populated.
     server.cache().clear();
     {
         const auto before = server.totals();
-        Session session(server, {8});
-        std::vector<std::shared_future<ServeResult>> futs;
-        for (int i = 0; i < 24; ++i)
-            futs.push_back(session.submit(ServeRequest{"asset", 16, {}}));
-        session.wait_idle();
-        for (auto& f : futs)
-            if (!f.get().ok()) return 1;
+        std::vector<ServeResult> results(24);
+        std::latch start(1);
+        std::vector<std::thread> clients;
+        for (std::size_t i = 0; i < results.size(); ++i)
+            clients.emplace_back([&, i] {
+                start.wait();
+                results[i] = server.serve(ServeRequest{"asset", 16, {}});
+            });
+        start.count_down();
+        for (auto& c : clients) c.join();
+        for (const ServeResult& r : results)
+            if (!r.ok()) return 1;
         const auto t = server.totals();
         std::printf("cold stampede: 24 identical requests -> %llu coalesced + "
                     "%llu cache hits, %.1f MB recombination avoided\n\n",

@@ -522,9 +522,7 @@ void Daemon::dispatch(Loop& lp, Conn& c, std::vector<u8> frame) {
         try {
             serve::ServeRequest req = serve::decode_request(frame);
             if (!req.asset.empty() && req.asset[0] != '!') {
-                serve::StreamOptions sopt = opt_.stream;
-                sopt.resume_offset = req.resume_offset;
-                c.stream.emplace(server_.serve_stream(req, sopt));
+                c.stream.emplace(server_.serve_stream(req, opt_.stream));
                 stats_->streamed.fetch_add(1, std::memory_order_relaxed);
                 return;
             }

@@ -6,9 +6,9 @@
 //   EvictionPolicy  — WHICH resident entry dies when the cache is over
 //                     capacity. LruPolicy reproduces the historical cache
 //                     bit-exactly (the seeded-Zipf exact-model regression in
-//                     test_session anchors this); SegmentedLruPolicy adds a
-//                     probation/protected split so one burst of cold traffic
-//                     cannot flush the proven-hot working set.
+//                     test_single_flight anchors this); SegmentedLruPolicy
+//                     adds a probation/protected split so one burst of cold
+//                     traffic cannot flush the proven-hot working set.
 //   AdmissionPolicy — WHETHER a brand-new entry gets in at all. AdmitAll is
 //                     the historical behavior; TinyLfuAdmission keeps a tiny
 //                     frequency sketch over the key stream and rejects
@@ -60,7 +60,7 @@ public:
 
 /// Exact reproduction of the historical MetadataCache discipline: one
 /// recency list, hits (and refreshes) splice to the front, the victim is
-/// the back. Selecting this policy must keep test_session's seeded-Zipf
+/// the back. Selecting this policy must keep test_single_flight's seeded-Zipf
 /// exact-LRU-model regression passing unmodified.
 class LruPolicy final : public EvictionPolicy {
 public:

@@ -118,10 +118,10 @@ struct StreamState {
         }
     }
 
-    /// Payload ceiling of the next body frame (adaptive prefix sizing).
+    /// Payload ceiling of the next body frame: small while the cursor is
+    /// on the structural prefix, max_frame_bytes once payload starts.
     u64 frame_target() const {
-        if (!opt.adaptive_frames || payload_phase) return opt.max_frame_bytes;
-        return opt.prefix_frame_bytes;
+        return payload_phase ? opt.max_frame_bytes : opt.prefix_frame_bytes;
     }
 };
 
@@ -182,7 +182,7 @@ std::optional<std::vector<u8>> ServeStream::next_frame() {
                 // Payload starts here. Flush the prefix as its own (small)
                 // frame; an empty frame just grows the target.
                 st.payload_phase = true;
-                if (st.opt.adaptive_frames && !payload.empty()) break;
+                if (!payload.empty()) break;
             }
             const std::size_t n = std::min<std::size_t>(
                 static_cast<std::size_t>(st.frame_target()) - payload.size(),
@@ -445,7 +445,6 @@ ContentServer::Prepared ContentServer::prepare(const ServeRequest& req,
         p.range = req.range;
         p.key = range_key(*p.asset, lo, hi);
         p.parallelism = 0;
-        p.use_cache = opt_.cache_ranges;
         p.payload = PayloadKind::range;
     } else {
         const u8 need = p.asset->payload_kind() == PayloadKind::chunked
@@ -459,7 +458,6 @@ ContentServer::Prepared ContentServer::prepare(const ServeRequest& req,
         p.parallelism =
             std::clamp(req.parallelism, u32{1}, p.asset->max_parallelism());
         p.key = asset_key(*p.asset);
-        p.use_cache = true;
         p.payload = p.asset->payload_kind();
     }
     return p;
@@ -508,7 +506,7 @@ bool ContentServer::acquire_flight(const std::string& flight_key,
 ServedWire ContentServer::serve_shared(const Prepared& p, ServeStats& stats,
                                        obs::TraceContext* trace,
                                        WirePieces* pieces) {
-    if (p.use_cache) {
+    {
         obs::TraceContext::Scoped span(trace, "cache_lookup", nullptr);
         u32 splits = 0;
         if (WireBytes wire = cache_.get(p.key, p.parallelism, &splits,
@@ -545,16 +543,13 @@ ServedWire ContentServer::serve_shared(const Prepared& p, ServeStats& stats,
     // retires). Recheck before paying for a combine, and publish the cached
     // wire to any followers already parked on this flight. The recheck is
     // the same logical request, so it must not re-feed the admission sketch.
-    if (p.use_cache) {
-        u32 splits = 0;
-        if (WireBytes cached = cache_.get(p.key, p.parallelism, &splits,
-                                          /*record_access=*/false,
-                                          p.start_ns)) {
-            ServedWire wire{std::move(cached), splits};
-            retire_flight(flight_key, flight, &wire, ErrorCode::ok, {});
-            stats.cache_hit = true;
-            return wire;
-        }
+    u32 cached_splits = 0;
+    if (WireBytes cached = cache_.get(p.key, p.parallelism, &cached_splits,
+                                      /*record_access=*/false, p.start_ns)) {
+        ServedWire wire{std::move(cached), cached_splits};
+        retire_flight(flight_key, flight, &wire, ErrorCode::ok, {});
+        stats.cache_hit = true;
+        return wire;
     }
 
     ServedWire wire;
@@ -576,7 +571,7 @@ ServedWire ContentServer::serve_shared(const Prepared& p, ServeStats& stats,
         // can still slip a dying entry in; its uid-scoped key can never be
         // served for the successor, so the cost is transient bytes, not
         // staleness.)
-        if (p.use_cache && store_.is_current(*p.asset))
+        if (store_.is_current(*p.asset))
             cache_.put(p.key, p.parallelism, wire.wire, wire.splits);
     } catch (const ProtocolError& e) {
         retire_flight(flight_key, flight, nullptr, e.code(), e.what());
@@ -645,7 +640,7 @@ ServeStream ContentServer::serve_stream(const ServeRequest& req,
             return prepare(req, steady_now_ns());
         }();
         st->head.payload = p.payload;
-        if (p.use_cache && opt.use_cache) {
+        if (opt.use_cache) {
             // Cache hit, follower or leader: one path with serve(). Only a
             // leader gets the combine's pieces; everyone else frames the
             // shared wire as a single borrowed piece.
@@ -660,15 +655,21 @@ ServeStream ContentServer::serve_stream(const ServeRequest& req,
             stats.splits_served = produce(p, st->pieces, &st->trace);
             stats.combine_seconds = combine.seconds();
         }
-        st->asset = p.asset;
         for (const format::ByteBuffer& piece : st->pieces) {
             stats.wire_bytes += piece.size();
             if (!piece.borrowed()) st->owned_left += piece.size();
         }
+        if (req.resume_offset > stats.wire_bytes)
+            throw ProtocolError(
+                ErrorCode::invalid_range,
+                "serve: resume offset " + std::to_string(req.resume_offset) +
+                    " past the " + std::to_string(stats.wire_bytes) +
+                    "-byte wire");
+        st->asset = p.asset;
         st->peak_owned = st->owned_left;
         st->head.code = ErrorCode::ok;
         count_served(stats);
-        st->seek(opt.resume_offset);
+        st->seek(req.resume_offset);
     } catch (const ProtocolError& e) {
         totals_.add(kFailures);
         st->pieces.clear();
@@ -758,20 +759,6 @@ ContentServer::Totals ContentServer::totals() const noexcept {
     t.bytes_saved = totals_.value(kBytesSaved);
     t.governance_failures = totals_.value(kGovernanceFailures);
     return t;
-}
-
-BatchStats summarize(std::span<const ServeResult> results) {
-    BatchStats s;
-    s.requests = results.size();
-    for (const ServeResult& r : results) {
-        if (!r.ok()) ++s.failures;
-        if (r.stats.cache_hit) ++s.cache_hits;
-        if (r.stats.coalesced) ++s.coalesced;
-        s.wire_bytes += r.stats.wire_bytes;
-        s.max_latency_seconds = std::max(s.max_latency_seconds, r.stats.total_seconds);
-        s.sum_latency_seconds += r.stats.total_seconds;
-    }
-    return s;
 }
 
 }  // namespace recoil::serve

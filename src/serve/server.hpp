@@ -47,7 +47,6 @@ struct ServerOptions {
     /// exceeded, the resource governor unloads cold demand-loadable assets
     /// (and shrinks the cache if that is not enough). 0 disables.
     u64 mem_budget_bytes = 0;
-    bool cache_ranges = true;  ///< range responses join the wire cache too
     /// Observability/test hook: invoked (if set) with the cache key at the
     /// start of every miss combine (materialized or streamed), before the
     /// wire is built.
@@ -72,7 +71,7 @@ struct ServerOptions {
 };
 
 /// Default ceiling for frames carrying the metadata-dense structural prefix
-/// when adaptive frame sizing is on (StreamOptions::adaptive_frames).
+/// (StreamOptions::prefix_frame_bytes).
 inline constexpr u64 kDefaultPrefixFrameBytes = u64{8} << 10;
 
 /// Per-stream knobs of serve_stream(), negotiated per connection.
@@ -86,26 +85,15 @@ struct StreamOptions {
     /// responses too large to be worth caching. Such streams do not
     /// coalesce (nothing shareable is built) and do not consult the cache.
     bool use_cache = true;
-    /// Adaptive frame sizing: while the cursor is still on the metadata-
-    /// dense structural prefix (header, model, split plan — owned pieces),
-    /// frames are capped at prefix_frame_bytes so a client can start
-    /// planning its decode early; the frame that would first carry borrowed
-    /// payload bytes flushes the prefix, and payload frames run at
+    /// Payload ceiling of the frames carrying the metadata-dense structural
+    /// prefix (header, model, split plan — owned pieces), so a client can
+    /// start planning its decode early; the frame that would first carry
+    /// borrowed payload bytes flushes the prefix, and payload frames run at
     /// max_frame_bytes. Cache-hit and coalesced-follower replays are one
     /// borrowed piece, so they run at max_frame_bytes from the first byte.
-    /// Reassembly is framing-agnostic, so the wire stays bit-exact either
-    /// way.
-    bool adaptive_frames = true;
-    /// Prefix-frame payload ceiling; clamped down to max_frame_bytes.
+    /// Reassembly is framing-agnostic, so the wire stays bit-exact for any
+    /// ceiling. Clamped down to max_frame_bytes.
     u64 prefix_frame_bytes = kDefaultPrefixFrameBytes;
-    /// Resume an interrupted stream: re-serve the same deterministic wire
-    /// but seek past the first resume_offset body-payload bytes, hashing the
-    /// skipped prefix into the running digest so the FIN's whole-wire
-    /// checksum still covers prefix + tail (a reconnecting client that
-    /// kept its reassembler validates the reunited wire bit-exactly).
-    /// Body sequencing restarts at 0 for the tail. Transports populate
-    /// this from ServeRequest::resume_offset.
-    u64 resume_offset = 0;
 };
 
 namespace detail {
@@ -179,9 +167,9 @@ public:
     /// never unloading — unless ServerOptions::mem_budget_bytes is set).
     /// pin()/unpin() protect per-class hot assets from pressure unloads.
     ResourceGovernor& governor() noexcept { return governor_; }
-    /// Unified telemetry directory: one snapshot() covers all five serve
-    /// subsystems (server totals, cache, governor, stores, sessions) plus
-    /// the per-phase latency histograms. Always live — see
+    /// Unified telemetry directory: one snapshot() covers the four serve
+    /// subsystems (server totals, cache, governor, stores) plus the
+    /// per-phase latency histograms. Always live — see
     /// ServerOptions::telemetry for what the knob does and does not gate.
     obs::MetricsRegistry& metrics() noexcept { return metrics_; }
     /// The N slowest and N most recent failed requests, as structured trace
@@ -189,7 +177,8 @@ public:
     const obs::SlowRequestLog& slow_log() const noexcept { return slow_log_; }
 
     /// Serve one request. Never throws: failures come back as a typed
-    /// ErrorCode, so scheduler workers cannot tear down their pool. Assets
+    /// ErrorCode, so a failing request cannot tear down its caller's thread
+    /// (a daemon loop, or any thread calling in directly). Assets
     /// not resident in memory are demand-loaded from the attached backing
     /// store (AssetStore::resolve) as zero-copy views of the mapped master.
     ServeResult serve(const ServeRequest& req) noexcept;
@@ -201,6 +190,13 @@ public:
     /// the calling thread: cacheable streams go through serve()'s cache and
     /// single-flight path (a follower waits on the leader's combine, then
     /// replays the shared wire), solo streams combine into a piece list.
+    /// A nonzero ServeRequest::resume_offset resumes an interrupted stream:
+    /// the same deterministic wire is framed from that byte on, the skipped
+    /// prefix hashed into the FIN's whole-wire checksum, body sequencing
+    /// restarting at 0 (a client that kept its StreamReassembler and called
+    /// begin_resume() reunites the wire bit-exactly). An offset past the
+    /// wire is a typed invalid_range header; an offset equal to the wire
+    /// size is a header and then the FIN.
     ServeStream serve_stream(const ServeRequest& req,
                              StreamOptions opt = {}) noexcept;
 
@@ -259,7 +255,6 @@ private:
         u64 start_ns = 0;
         std::string key;       ///< response cache key
         u32 parallelism = 0;   ///< clamped; 0 for range requests
-        bool use_cache = true;
         PayloadKind payload = PayloadKind::none;
         std::optional<std::pair<u64, u64>> range;
     };
@@ -374,17 +369,5 @@ private:
     obs::Histogram* h_frame_ = nullptr;    ///< stream_frame_seconds
     obs::Histogram* h_govern_ = nullptr;   ///< governor_pass_seconds
 };
-
-/// Aggregate view of a set of results, for benches and logs.
-struct BatchStats {
-    u64 requests = 0;
-    u64 failures = 0;
-    u64 cache_hits = 0;
-    u64 coalesced = 0;
-    u64 wire_bytes = 0;
-    double max_latency_seconds = 0;
-    double sum_latency_seconds = 0;
-};
-BatchStats summarize(std::span<const ServeResult> results);
 
 }  // namespace recoil::serve

@@ -2,9 +2,9 @@
 // RAII thread group for subsystems that need real OS threads but live in
 // directories where naming std::thread is banned (tools/lint.py: serve/ and
 // net/ must borrow their concurrency from util/). Together with the decode
-// ThreadPool it is the sanctioned thread substrate: session worker loops
-// and the daemon's event loops, which legitimately BLOCK (on a condition
-// variable, in epoll_wait), each get a dedicated named thread.
+// ThreadPool it is the sanctioned thread substrate: the daemon's event
+// loops, which legitimately BLOCK (in epoll_wait), each get a dedicated
+// named thread.
 //
 // Join discipline: join_all() (or destruction) blocks until every spawned
 // thread returns. The caller is responsible for making its loops exit —

@@ -62,7 +62,7 @@ std::vector<LatentDataset> paper_latent_datasets(double scale);
 double bench_scale();
 
 /// Seed-deterministic Zipf(s) key plan over [1, keys]: the canonical skewed
-/// request trace of the serve cache study, shared by test_session's
+/// request trace of the serve cache study, shared by test_single_flight's
 /// hit-rate regressions and bench_serve's policy bench so both measure the
 /// SAME traffic model (CDF inversion over a seeded xoshiro stream).
 std::vector<u32> zipf_plan(u32 keys, std::size_t requests, double s,

@@ -1,6 +1,6 @@
 // Tests for the pluggable cache-policy layer and the resource governor:
 // LRU stays bit-exact with the historical cache (the seeded-Zipf regression
-// in test_session is the end-to-end anchor; here the counter edges are
+// in test_single_flight is the end-to-end anchor; here the counter edges are
 // pinned), segmented LRU protects reused entries from scan pollution,
 // TinyLFU admission rejects expensive one-hit wonders, and the governor
 // unloads cold demand-loadable assets under a global byte budget without
@@ -16,7 +16,7 @@
 #include <thread>
 #include <vector>
 
-#include "serve/session.hpp"
+#include "serve/server.hpp"
 #include "serve/store.hpp"
 #include "test_util.hpp"
 #include "workload/datasets.hpp"
@@ -714,33 +714,6 @@ TEST(Governor, UnloadRacingStreamsStaysBitExact) {
         ASSERT_TRUE(r.ok());
         EXPECT_EQ(*r.wire, reference[i]);
     }
-}
-
-// ---- session stats surface ----
-
-TEST(SessionStats, CountersTrackSubmissionsCompletionsAndFrames) {
-    ContentServer server;
-    server.store().encode_bytes("asset", asset_bytes(50000, 91), 16);
-    Session session(server, {2});
-
-    EXPECT_TRUE(session.submit({"asset", 4, std::nullopt}).get().ok());
-    EXPECT_FALSE(session.submit({"missing", 4, std::nullopt}).get().ok());
-    u64 frames = 0;
-    StreamOptions sopt;
-    sopt.max_frame_bytes = 4096;
-    auto fut = session.submit_stream(
-        {"asset", 4, std::nullopt, kAcceptAll | kAcceptStreamed},
-        [&](std::span<const u8>) { ++frames; }, sopt);
-    EXPECT_TRUE(fut.get().ok());
-    session.wait_idle();
-
-    const Session::Stats s = session.stats();
-    EXPECT_EQ(s.submitted, 3u);
-    EXPECT_EQ(s.completed, 3u);
-    EXPECT_EQ(s.failed, 1u);
-    EXPECT_EQ(s.streamed, 1u);
-    EXPECT_GE(s.frames_delivered, 3u);  // header + >=1 body + FIN
-    EXPECT_EQ(s.frames_delivered, frames);
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 // consistency under concurrent writers (the TSan job runs these), callback
 // metrics and replace-on-rebind, slow-request-log retention and failure
 // capture, trace span nesting, and the ContentServer integration — one
-// snapshot covering all five serve subsystems, traces for hit/miss/stream/
+// snapshot covering all four serve subsystems, traces for hit/miss/stream/
 // failed requests, the "!metrics" wire introspection surface, sampling, and
 // the telemetry=false baseline. Also pins the documented CacheStats counter
 // lifetimes (docs/serve_cache.md): which counters are cumulative across
@@ -19,7 +19,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "serve/session.hpp"
+#include "serve/server.hpp"
 #include "serve/store.hpp"
 #include "test_util.hpp"
 #include "util/xoshiro.hpp"
@@ -346,9 +346,6 @@ const char* const kFrozenScalars[] = {
     "store_resident_bytes", "store_assets",
     "disk_puts_total", "disk_put_bytes_total", "disk_loads_total",
     "disk_load_bytes_total", "disk_removes_total", "disk_assets",
-    "session_submitted_total", "session_completed_total",
-    "session_failed_total", "session_streamed_total",
-    "session_frames_delivered_total",
     "simd_backend",
 };
 const char* const kFrozenHistograms[] = {
@@ -367,17 +364,15 @@ struct ObsServerFixture : ::testing::Test {
           asset(server.store().encode_bytes("asset", data, 32)) {}
 };
 
-TEST_F(ObsServerFixture, OneSnapshotCoversAllFiveSubsystems) {
+TEST_F(ObsServerFixture, OneSnapshotCoversAllFourSubsystems) {
     const fs::path dir =
         fs::temp_directory_path() / "recoil_obs_snapshot_test";
     fs::remove_all(dir);
     server.store().attach_backing(std::make_shared<DiskStore>(dir));
     server.store().encode_bytes("persisted", data, 8);  // disk write-through
-    {
-        Session session(server, {2});
-        session.submit(ServeRequest{"asset", 8, std::nullopt}).get();
-        session.wait_idle();
-    }
+    // A cold serve from another thread, then a warm hit from this one.
+    std::thread([&] { server.serve(ServeRequest{"asset", 8, std::nullopt}); })
+        .join();
     server.serve(ServeRequest{"asset", 8, std::nullopt});  // warm hit
 
     const auto snap = server.metrics().snapshot();
@@ -394,9 +389,6 @@ TEST_F(ObsServerFixture, OneSnapshotCoversAllFiveSubsystems) {
     EXPECT_EQ(*snap.find("cache_hits_total"), server.cache().stats().hits);
     EXPECT_EQ(*snap.find("store_assets"), server.store().size());
     EXPECT_GE(*snap.find("disk_puts_total"), 1u);
-    EXPECT_GE(*snap.find("session_submitted_total"), 1u);
-    EXPECT_EQ(*snap.find("session_completed_total"),
-              *snap.find("session_submitted_total"));
 
     // Both exposition formats render every frozen name.
     const std::string prom = snap.to_prometheus();

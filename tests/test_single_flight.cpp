@@ -1,4 +1,5 @@
-// Tests for the async Session API and the server's single-flight coalescing:
+// Tests for the server's single-flight coalescing and the response cache
+// behind it, driven by plain threads calling ContentServer directly:
 // concurrent cold requests for one response key run exactly one combine and
 // share the wire; warm traffic returns shared buffers without copies; and a
 // deterministic Zipf workload pins the LRU cache's hit behavior exactly
@@ -9,11 +10,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <functional>
 #include <future>
 #include <list>
 #include <thread>
 
-#include "serve/session.hpp"
+#include "serve/server.hpp"
 #include "test_util.hpp"
 #include "util/xoshiro.hpp"
 #include "workload/datasets.hpp"
@@ -25,7 +27,45 @@ std::vector<u8> small_asset_bytes(u64 n, u64 seed) {
     return test::geometric_symbols<u8>(n, 0.6, 256, seed);
 }
 
-TEST(Session, ColdRequestsCoalesceIntoOneCombine) {
+/// Serve every request on its own thread, each into its own result slot.
+/// `while_running` (if set) runs on the calling thread before the joins —
+/// the place to release a combine that is holding its flight open.
+std::vector<ServeResult> serve_on_threads(
+    ContentServer& server, const std::vector<ServeRequest>& reqs,
+    const std::function<void()>& while_running = {}) {
+    std::vector<ServeResult> results(reqs.size());
+    std::vector<std::thread> threads;
+    threads.reserve(reqs.size());
+    for (std::size_t i = 0; i < reqs.size(); ++i)
+        threads.emplace_back([&, i] { results[i] = server.serve(reqs[i]); });
+    if (while_running) while_running();
+    for (auto& t : threads) t.join();
+    return results;
+}
+
+/// Serve `reqs` strictly in order, consecutive requests alternating between
+/// two threads (an acquire/release turn counter passes the baton): a serial
+/// request stream — cache state stays deterministic — whose buffered cache
+/// touches land in two different threads' read buffers.
+std::vector<ServeResult> serve_alternating(ContentServer& server,
+                                           const std::vector<ServeRequest>& reqs) {
+    std::vector<ServeResult> results(reqs.size());
+    std::atomic<std::size_t> turn{0};
+    auto worker = [&](std::size_t parity) {
+        for (std::size_t i = parity; i < reqs.size(); i += 2) {
+            while (turn.load(std::memory_order_acquire) != i)
+                std::this_thread::yield();
+            results[i] = server.serve(reqs[i]);
+            turn.store(i + 1, std::memory_order_release);
+        }
+    };
+    std::thread a(worker, 0), b(worker, 1);
+    a.join();
+    b.join();
+    return results;
+}
+
+TEST(SingleFlight, ColdRequestsCoalesceIntoOneCombine) {
     std::atomic<int> combines{0};
     std::promise<void> release;
     std::shared_future<void> gate = release.get_future().share();
@@ -38,23 +78,19 @@ TEST(Session, ColdRequestsCoalesceIntoOneCombine) {
     server.store().encode_bytes("asset", small_asset_bytes(80000, 31), 32);
 
     constexpr unsigned kN = 8;
-    Session session(server, {kN});
-    std::vector<std::shared_future<ServeResult>> futs;
-    futs.reserve(kN);
-    for (unsigned i = 0; i < kN; ++i)
-        futs.push_back(session.submit(ServeRequest{"asset", 8, std::nullopt}));
-
-    // Deterministic, no sleeps: all kN requests run on their own worker, so
+    const std::vector<ServeRequest> reqs(kN,
+                                         ServeRequest{"asset", 8, std::nullopt});
+    // Deterministic, no sleeps: all kN requests run on their own thread, so
     // kN-1 of them must park on the leader's flight; only then release it.
-    while (server.coalescing_waiters() != kN - 1) std::this_thread::yield();
-    release.set_value();
-    session.wait_idle();
+    const auto results = serve_on_threads(server, reqs, [&] {
+        while (server.coalescing_waiters() != kN - 1) std::this_thread::yield();
+        release.set_value();
+    });
 
     EXPECT_EQ(combines.load(), 1);  // exactly one combine ran
     unsigned leaders = 0, followers = 0;
     WireBytes shared_wire;
-    for (auto& f : futs) {
-        const ServeResult res = f.get();
+    for (const ServeResult& res : results) {
         ASSERT_TRUE(res.ok()) << res.detail;
         EXPECT_FALSE(res.stats.cache_hit);
         if (res.stats.coalesced) {
@@ -74,14 +110,14 @@ TEST(Session, ColdRequestsCoalesceIntoOneCombine) {
     EXPECT_EQ(t.bytes_saved, (kN - 1) * shared_wire->size());
 
     // Warm traffic: the cache returns the same shared buffer, no copy.
-    auto warm = session.submit(ServeRequest{"asset", 8, std::nullopt}).get();
+    auto warm = server.serve(ServeRequest{"asset", 8, std::nullopt});
     ASSERT_TRUE(warm.ok());
     EXPECT_TRUE(warm.stats.cache_hit);
     EXPECT_EQ(warm.wire, shared_wire);
     EXPECT_EQ(combines.load(), 1);
 }
 
-TEST(Session, LeaderFailurePropagatesToEveryCoalescedRequest) {
+TEST(SingleFlight, LeaderFailurePropagatesToEveryCoalescedRequest) {
     // Requests park on a flight whose leader fails mid-combine: everyone
     // must get the typed failure, and a retry must start a fresh flight.
     std::atomic<int> combines{0};
@@ -99,57 +135,29 @@ TEST(Session, LeaderFailurePropagatesToEveryCoalescedRequest) {
     server.store().encode_bytes("asset", small_asset_bytes(60000, 5), 16);
 
     constexpr unsigned kN = 4;
-    Session session(server, {kN});
-    std::vector<std::shared_future<ServeResult>> futs;
-    for (unsigned i = 0; i < kN; ++i)
-        futs.push_back(session.submit(ServeRequest{"asset", 4, std::nullopt}));
-    while (server.coalescing_waiters() != kN - 1) std::this_thread::yield();
-    release.set_value();
-    session.wait_idle();
+    const std::vector<ServeRequest> reqs(kN,
+                                         ServeRequest{"asset", 4, std::nullopt});
+    const auto results = serve_on_threads(server, reqs, [&] {
+        while (server.coalescing_waiters() != kN - 1) std::this_thread::yield();
+        release.set_value();
+    });
 
-    for (auto& f : futs) {
-        const ServeResult res = f.get();
+    for (const ServeResult& res : results) {
         EXPECT_EQ(res.code, ErrorCode::internal);
         EXPECT_NE(res.detail.find("injected"), std::string::npos);
     }
     EXPECT_EQ(server.totals().failures, kN);
 
     // The failed flight is gone; a retry combines successfully.
-    auto retry = session.submit(ServeRequest{"asset", 4, std::nullopt}).get();
+    auto retry = server.serve(ServeRequest{"asset", 4, std::nullopt});
     ASSERT_TRUE(retry.ok()) << retry.detail;
     EXPECT_EQ(combines.load(), 2);
 }
 
-TEST(Session, CompletionCallbacksFireBeforeFuturesResolve) {
-    ContentServer server;
-    server.store().encode_bytes("asset", small_asset_bytes(50000, 9), 16);
-    Session session(server, {2});
-
-    std::atomic<int> called{0};
-    auto fut = session.submit(ServeRequest{"asset", 4, std::nullopt},
-                              [&](const ServeResult& res) {
-                                  EXPECT_TRUE(res.ok());
-                                  ++called;
-                              });
-    EXPECT_TRUE(fut.get().ok());
-    EXPECT_EQ(called.load(), 1);  // callback completed before the future
-
-    // A throwing callback must not tear down the worker.
-    auto fut2 = session.submit(ServeRequest{"asset", 8, std::nullopt},
-                               [&](const ServeResult&) {
-                                   ++called;
-                                   throw std::runtime_error("callback bug");
-                               });
-    EXPECT_TRUE(fut2.get().ok());
-    EXPECT_EQ(called.load(), 2);
-    EXPECT_TRUE(session.submit(ServeRequest{"asset", 2, std::nullopt}).get().ok());
-}
-
-TEST(Session, MixedSubmissionsMatchSerialServesAndSummarize) {
+TEST(SingleFlight, ConcurrentMixedRequestsMatchSerialServes) {
     ContentServer server;
     auto data = small_asset_bytes(100000, 13);
     server.store().encode_bytes("asset", data, 64);
-    Session session(server, {3});
 
     std::vector<ServeRequest> reqs;
     for (u32 p : {2u, 8u, 16u, 2u, 8u, 64u})
@@ -157,13 +165,7 @@ TEST(Session, MixedSubmissionsMatchSerialServesAndSummarize) {
     reqs.push_back(ServeRequest{"asset", 1, {{500, 900}}});
     reqs.push_back(ServeRequest{"missing", 1, std::nullopt});
 
-    std::vector<std::shared_future<ServeResult>> futs;
-    for (const auto& r : reqs) futs.push_back(session.submit(r));
-    std::vector<ServeResult> results;
-    for (auto& f : futs) results.push_back(f.get());
-    session.wait_idle();  // future readiness precedes the worker's bookkeeping
-    EXPECT_EQ(session.in_flight(), 0u);
-
+    const auto results = serve_on_threads(server, reqs);
     for (std::size_t i = 0; i + 1 < results.size(); ++i) {
         ASSERT_TRUE(results[i].ok()) << i << ": " << results[i].detail;
         auto direct = server.serve(reqs[i]);
@@ -171,18 +173,30 @@ TEST(Session, MixedSubmissionsMatchSerialServesAndSummarize) {
     }
     EXPECT_EQ(results.back().code, ErrorCode::unknown_asset);
 
-    const BatchStats batch = summarize(results);
-    EXPECT_EQ(batch.requests, reqs.size());
-    EXPECT_EQ(batch.failures, 1u);
-    EXPECT_GE(batch.max_latency_seconds, 0.0);
+    const auto failures = [](const std::vector<ServeResult>& rs) {
+        return std::count_if(rs.begin(), rs.end(),
+                             [](const ServeResult& r) { return !r.ok(); });
+    };
+    const auto cache_hits = [](const std::vector<ServeResult>& rs) {
+        return static_cast<std::size_t>(
+            std::count_if(rs.begin(), rs.end(), [](const ServeResult& r) {
+                return r.stats.cache_hit;
+            }));
+    };
+    EXPECT_EQ(results.size(), reqs.size());
+    EXPECT_EQ(failures(results), 1);
+    double max_latency_seconds = 0;
+    for (const ServeResult& r : results)
+        max_latency_seconds =
+            std::max(max_latency_seconds, r.stats.total_seconds);
+    EXPECT_GE(max_latency_seconds, 0.0);
 
     // A second identical round is fully warm: every valid request hits.
-    std::vector<ServeResult> warm;
-    for (const auto& r : reqs) warm.push_back(session.submit(r).get());
-    EXPECT_EQ(summarize(warm).cache_hits, reqs.size() - 1);
+    const auto warm = serve_on_threads(server, reqs);
+    EXPECT_EQ(cache_hits(warm), reqs.size() - 1);
 }
 
-TEST(Session, EvictionMidFlightDoesNotResurrectTheCacheEntry) {
+TEST(SingleFlight, EvictionMidFlightDoesNotResurrectTheCacheEntry) {
     // Regression: a single-flight combine that finishes after evict_asset()
     // used to put its wire back into the cache — a stale entry for a deleted
     // asset, pinned until LRU pressure. The put must be gated on the asset
@@ -230,7 +244,7 @@ TEST(Session, EvictionMidFlightDoesNotResurrectTheCacheEntry) {
         << "replaced-generation wire entered the cache";
 }
 
-TEST(Session, OversizedPayloadsCountAsRejected) {
+TEST(ServeCache, OversizedPayloadsCountAsRejected) {
     // A payload larger than the whole cache is not cached — and no longer
     // silently: the rejected counter surfaces a mis-sized capacity.
     ServerOptions opt;
@@ -248,7 +262,7 @@ TEST(Session, OversizedPayloadsCountAsRejected) {
     EXPECT_EQ(server.totals().cache_hits, 0u);
 }
 
-TEST(Session, ClearResetsContentsButKeepsCumulativeCounters) {
+TEST(ServeCache, ClearResetsContentsButKeepsCumulativeCounters) {
     MetadataCache cache(1 << 20);
     auto wire = std::make_shared<const std::vector<u8>>(100, u8{1});
     cache.put("a", 1, wire);
@@ -296,10 +310,11 @@ u64 simulate_lru_hits(const std::vector<u32>& plan, const std::vector<u64>& size
     return hits;
 }
 
-TEST(Session, ZipfTrafficHitRateIsExactAndDeterministic) {
+TEST(ServeCache, ZipfTrafficHitRateIsExactAndDeterministic) {
     // Zipf(s=1.2) traffic over 32 client classes against a cache that holds
-    // ~8 responses: the skewed head stays resident. Driven through the
-    // Session API with seeded xoshiro, so the hit count is exact — any
+    // ~8 responses: the skewed head stays resident. Served in order,
+    // alternating between two threads, from a seeded plan, so the hit count
+    // is exact (and covers cross-thread read buffers) — any
     // cache-policy change must consciously update this anchor.
     constexpr u32 kKeys = 32;
     constexpr int kRequests = 1200;
@@ -327,12 +342,12 @@ TEST(Session, ZipfTrafficHitRateIsExactAndDeterministic) {
         opt.cache_capacity_bytes = capacity;
         ContentServer server(opt);
         server.store().encode_bytes("asset", data, 64);
-        Session session(server, {2});
-        for (const u32 key : plan) {
-            // Serial await keeps the request order (and thus LRU state)
-            // fully deterministic while still driving the async API.
-            const ServeResult res =
-                session.submit(ServeRequest{"asset", key, std::nullopt}).get();
+        std::vector<ServeRequest> reqs;
+        for (const u32 key : plan)
+            reqs.push_back(ServeRequest{"asset", key, std::nullopt});
+        // The turn counter keeps the request order (and thus LRU state)
+        // fully deterministic while two threads take the requests.
+        for (const ServeResult& res : serve_alternating(server, reqs)) {
             EXPECT_TRUE(res.ok()) << res.detail;
             if (sizes_out != nullptr) sizes_out->push_back(res.stats.wire_bytes);
         }
@@ -372,7 +387,7 @@ struct PolicyRun {
     double byte_hit_rate = 0;
 };
 
-/// Drive a scan-polluted Zipf plan serially through the Session API against
+/// Drive a scan-polluted Zipf plan serially (alternating threads) against
 /// one cache policy: scan slots (workload::zipf_scan_slot — the schedule
 /// bench_serve's policy study shares) become unique, never-repeated range
 /// requests (one-hit wonders with distinct cache keys), the rest follow
@@ -387,7 +402,7 @@ PolicyRun run_policy(const CachePolicyConfig& policy, u64 capacity,
     server.store().encode_bytes("asset", data, 64);
     const u64 symbols = data.size();
     const u64 span = symbols / 4;
-    Session session(server, {2});
+    std::vector<ServeRequest> reqs;
     for (std::size_t i = 0; i < plan.size(); ++i) {
         ServeRequest req{"asset", plan[i], std::nullopt};
         if (workload::zipf_scan_slot(i)) {
@@ -395,9 +410,10 @@ PolicyRun run_policy(const CachePolicyConfig& policy, u64 capacity,
             req.parallelism = 1;
             req.range = {{lo, lo + span}};
         }
-        const ServeResult res = session.submit(req).get();
-        EXPECT_TRUE(res.ok()) << res.detail;
+        reqs.push_back(std::move(req));
     }
+    for (const ServeResult& res : serve_alternating(server, reqs))
+        EXPECT_TRUE(res.ok()) << res.detail;
     PolicyRun out;
     const CacheStats c = server.cache().stats();
     const auto t = server.totals();
@@ -412,7 +428,7 @@ PolicyRun run_policy(const CachePolicyConfig& policy, u64 capacity,
     return out;
 }
 
-TEST(Session, SlruZipfHitRateHoldsTheFloor) {
+TEST(ServeCache, SlruZipfHitRateHoldsTheFloor) {
     // The pure-Zipf harness above pins LRU exactly; SLRU on the same kind
     // of traffic must hold the same hit-rate floor (the skewed head stays
     // resident — promotion just changes who absorbs the tail misses).
@@ -430,14 +446,13 @@ TEST(Session, SlruZipfHitRateHoldsTheFloor) {
     ServerOptions opt;
     opt.cache_capacity_bytes = capacity;
     opt.cache_policy.eviction = EvictionKind::slru;
+    std::vector<ServeRequest> reqs;
+    for (const u32 key : plan)
+        reqs.push_back(ServeRequest{"asset", key, std::nullopt});
     ContentServer server(opt);
     server.store().encode_bytes("asset", data, 64);
-    Session session(server, {2});
-    for (const u32 key : plan) {
-        const ServeResult res =
-            session.submit(ServeRequest{"asset", key, std::nullopt}).get();
+    for (const ServeResult& res : serve_alternating(server, reqs))
         ASSERT_TRUE(res.ok()) << res.detail;
-    }
     const double hit_rate =
         static_cast<double>(server.totals().cache_hits) /
         static_cast<double>(plan.size());
@@ -447,16 +462,12 @@ TEST(Session, SlruZipfHitRateHoldsTheFloor) {
     // Determinism: same plan, same policy, same hits.
     ContentServer again(opt);
     again.store().encode_bytes("asset", data, 64);
-    Session session2(again, {2});
-    for (const u32 key : plan)
-        ASSERT_TRUE(
-            session2.submit(ServeRequest{"asset", key, std::nullopt})
-                .get()
-                .ok());
+    for (const ServeResult& res : serve_alternating(again, reqs))
+        ASSERT_TRUE(res.ok()) << res.detail;
     EXPECT_EQ(again.totals().cache_hits, server.totals().cache_hits);
 }
 
-TEST(Session, SlruWithTinyLfuBeatsLruUnderScanPollution) {
+TEST(ServeCache, SlruWithTinyLfuBeatsLruUnderScanPollution) {
     // The acceptance comparison: on Zipf traffic polluted with one-hit-
     // wonder scans, segmented LRU + size-aware admission must beat plain
     // LRU's byte-hit-rate. LRU admits every scan and evicts hot entries to

@@ -16,12 +16,11 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <mutex>
 #include <optional>
 #include <sstream>
 #include <thread>
 
-#include "serve/session.hpp"
+#include "serve/server.hpp"
 #include "serve/store.hpp"
 #include "test_util.hpp"
 
@@ -179,10 +178,10 @@ TEST_F(StreamingFixture, AdaptiveFramingShipsTheMetadataPrefixInSmallFrames) {
                   *ref.wire)
             << name;
 
-        // Adaptive off: frames pack metadata and payload together at
-        // max_frame_bytes. The wire is identical regardless of framing.
+        // A prefix ceiling equal to max_frame_bytes: frames pack metadata
+        // at full size. The wire is identical regardless of framing.
         StreamOptions uniform = adaptive;
-        uniform.adaptive_frames = false;
+        uniform.prefix_frame_bytes = uniform.max_frame_bytes;
         server.cache().clear();
         auto uframes = collect_frames(server.serve_stream(req, uniform));
         EXPECT_EQ(*reassemble(uframes, uniform.max_frame_bytes).wire,
@@ -200,6 +199,83 @@ TEST_F(StreamingFixture, WarmStreamsReplayTheCacheEntry) {
     const ServeResult got = reassemble(collect_frames(std::move(stream)));
     EXPECT_EQ(*got.wire, *ref.wire);
     EXPECT_TRUE(got.stats.cache_hit);
+}
+
+TEST_F(StreamingFixture, ResumedStreamReassemblesBitExactWithServe) {
+    // In-process resume: a client holding a half-fed reassembler re-requests
+    // with ServeRequest::resume_offset and gets only the tail; the reunited
+    // wire equals serve()'s byte for byte. Solo streams seek through the
+    // producer's pieces; cached ones lead a combine, then replay the entry.
+    for (const char* name : {"static", "indexed", "chunked"}) {
+        for (const bool use_cache : {false, true}) {
+            const ServeRequest req{name, 8, std::nullopt, kAcceptStream};
+            server.cache().clear();
+            const ServeResult ref = server.serve(req);
+            ASSERT_TRUE(ref.ok()) << name << ": " << ref.detail;
+            server.cache().clear();
+
+            StreamOptions opt;
+            opt.max_frame_bytes = 4096;
+            opt.use_cache = use_cache;
+            StreamReassembler client(opt.max_frame_bytes);
+            auto first = server.serve_stream(req, opt);
+            for (int i = 0; i < 4; ++i) {  // header + 3 bodies, then a drop
+                auto f = first.next_frame();
+                ASSERT_TRUE(f.has_value()) << name;
+                ASSERT_FALSE(client.feed(*f)) << name;
+            }
+            ASSERT_TRUE(client.resumable()) << name;
+            ServeRequest again = req;
+            again.resume_offset = client.bytes_received();
+            client.begin_resume();
+
+            auto tail = server.serve_stream(again, opt);
+            ASSERT_TRUE(tail.head().ok()) << name << ": " << tail.head().detail;
+            EXPECT_EQ(tail.head().stats.wire_bytes, ref.wire->size()) << name;
+            bool done = false;
+            while (auto f = tail.next_frame()) done = client.feed(*f);
+            ASSERT_TRUE(done) << name;
+            const ServeResult got = client.result();
+            ASSERT_TRUE(got.ok()) << name << ": " << got.detail;
+            EXPECT_EQ(*got.wire, *ref.wire)
+                << name << (use_cache ? " cached" : " solo")
+                << ": resumed reassembly diverges from serve()";
+        }
+    }
+}
+
+TEST_F(StreamingFixture, ResumeOffsetAtTheWireEndIsLegalPastItIsTyped) {
+    const ServeRequest req{"static", 8, std::nullopt, kAcceptStream};
+    const ServeResult ref = server.serve(req);
+    ASSERT_TRUE(ref.ok()) << ref.detail;
+    const u64 wire = ref.wire->size();
+
+    // Offset == wire size: every body byte already arrived; the tail is a
+    // header and the FIN, whose whole-wire checksum still validates.
+    StreamReassembler client;
+    auto first = server.serve_stream(req);
+    std::vector<std::vector<u8>> frames = collect_frames(std::move(first));
+    for (std::size_t i = 0; i + 1 < frames.size(); ++i) client.feed(frames[i]);
+    ASSERT_EQ(client.bytes_received(), wire);
+    client.begin_resume();
+    ServeRequest at_end = req;
+    at_end.resume_offset = wire;
+    const auto tail = collect_frames(server.serve_stream(at_end));
+    ASSERT_EQ(tail.size(), 2u);
+    EXPECT_FALSE(client.feed(tail[0]));
+    EXPECT_TRUE(client.feed(tail[1]));
+    EXPECT_EQ(*client.result().wire, *ref.wire);
+
+    // Offset past the wire: a single typed invalid_range header.
+    const u64 failures = server.totals().failures;
+    ServeRequest past = req;
+    past.resume_offset = wire + 1;
+    const auto refused = collect_frames(server.serve_stream(past));
+    ASSERT_EQ(refused.size(), 1u);
+    StreamReassembler ra;
+    EXPECT_TRUE(ra.feed(refused[0]));
+    EXPECT_EQ(ra.result().code, ErrorCode::invalid_range);
+    EXPECT_EQ(server.totals().failures, failures + 1);
 }
 
 TEST_F(StreamingFixture, ErrorsAreASingleTypedHeaderFrame) {
@@ -568,30 +644,6 @@ TEST(StreamingMemory, ProducerStaysInsideTheWindowNotTheWire) {
     EXPECT_LT(peak_owned, wire / 8)
         << "producer held O(wire) owned bytes; streaming should hold "
            "O(max segment)";
-    const ServeResult got = reassemble(frames, opt.max_frame_bytes);
-    EXPECT_EQ(*got.wire, *ref.wire);
-}
-
-TEST_F(StreamingFixture, SessionChunkCallbackApiDeliversTheStream) {
-    const ServeRequest req{"chunked", 8, std::nullopt, kAcceptStream};
-    server.cache().clear();
-    const ServeResult ref = server.serve(req);
-
-    Session session(server, {2});
-    std::mutex mu;
-    std::vector<std::vector<u8>> frames;
-    StreamOptions opt;
-    opt.max_frame_bytes = 8192;
-    auto fut = session.submit_stream(
-        req,
-        [&](std::span<const u8> frame) {
-            std::scoped_lock lk(mu);
-            frames.emplace_back(frame.begin(), frame.end());
-        },
-        opt);
-    const ServeResult head = fut.get();
-    ASSERT_TRUE(head.ok()) << head.detail;
-    EXPECT_EQ(head.wire, nullptr);  // frames were the payload
     const ServeResult got = reassemble(frames, opt.max_frame_bytes);
     EXPECT_EQ(*got.wire, *ref.wire);
 }

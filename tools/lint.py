@@ -65,8 +65,8 @@ NAKED_TOKENS = [
 
 BANNED_INCLUDES = ["<mutex>", "<shared_mutex>", "<condition_variable>"]
 
-# Directories where naked threads are banned outright: every session worker
-# and daemon loop runs on NamedThreads or ThreadPool.
+# Directories where naked threads are banned outright: every daemon loop runs
+# on NamedThreads and every parallel decode on ThreadPool.
 THREADLESS_DIRS = ("serve/", "net/")
 
 THREAD_TOKENS = ["std::thread", "std::jthread"]
@@ -171,8 +171,8 @@ def check_naked_thread(repo: Path, findings):
             for m in re.finditer(re.escape(token) + r"\b", code):
                 line = code.count("\n", 0, m.start()) + 1
                 findings.append(
-                    f"naked-thread: src/{rel}:{line}: {token} — sessions "
-                    f"and daemon loops run on util::NamedThreads / "
+                    f"naked-thread: src/{rel}:{line}: {token} — daemon "
+                    f"loops and decode workers run on util::NamedThreads / "
                     f"ThreadPool, not naked threads")
         if re.search(r"#\s*include\s*<thread>", text):
             findings.append(
