@@ -34,12 +34,7 @@ StaticModel RecoilFile::build_static_model() const {
 
 IndexedModelSet RecoilFile::build_indexed_model() const {
     const auto& p = std::get<IndexedPayload>(model);
-    std::vector<StaticModel> models;
-    models.reserve(p.freqs.size());
-    for (const auto& f : p.freqs)
-        models.emplace_back(std::span<const u32>(f), prob_bits, 0);
-    return IndexedModelSet(std::move(models),
-                           std::vector<u8>(p.ids.begin(), p.ids.end()));
+    return IndexedModelSet(p.freqs, prob_bits, p.ids, p.ids.keeper());
 }
 
 std::vector<u8> save_recoil_file(const RecoilFile& f) {
@@ -115,7 +110,11 @@ RecoilFile load_recoil_file_impl(std::span<const u8> bytes,
         const u32 k = c.get_u32();
         if (k == 0 || k > 256) raise("container: bad model count");
         p.freqs.resize(k);
-        for (auto& freq : p.freqs) freq = get_freq_table(c, f.prob_bits);
+        for (auto& freq : p.freqs) {
+            freq = get_freq_table(c, f.prob_bits);
+            if (freq.size() != p.freqs[0].size())
+                raise("container: model alphabets differ");
+        }
         const u64 ids_len = c.get_u64();
         auto ids = c.get_bytes(ids_len);
         if (keeper != nullptr)
@@ -129,6 +128,9 @@ RecoilFile load_recoil_file_impl(std::span<const u8> bytes,
 
     const u64 meta_len = c.get_u64();
     f.metadata = deserialize_metadata(c.get_bytes(meta_len));
+    if (indexed && std::get<RecoilFile::IndexedPayload>(f.model).ids.size() <
+                       f.metadata.num_symbols)
+        raise("container: id stream shorter than the symbol stream");
 
     const u64 unit_count = c.get_u64();
     skip_unit_pad(c);

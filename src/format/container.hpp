@@ -47,6 +47,10 @@ struct RecoilFile {
 
     /// Rebuild the decode-side model objects.
     StaticModel build_static_model() const;
+    /// Build the indexed model set straight from the shipped pdfs, one pass
+    /// per model with no per-model StaticModel (IndexedModelSet's pdf
+    /// constructor). The set reads `ids` in place and retains their
+    /// storage's keeper, so it may outlive this file.
     IndexedModelSet build_indexed_model() const;
     bool is_indexed() const noexcept {
         return std::holds_alternative<IndexedPayload>(model);
@@ -54,9 +58,11 @@ struct RecoilFile {
 };
 
 /// Serialize/parse. Parsing validates structure, metadata invariants and the
-/// checksum; corrupt input raises recoil::Error. Container version 3: unit
-/// payload padded to an even offset, CRC32C trailer. Earlier versions (FNV-1a
-/// trailers) are refused as unsupported.
+/// checksum; corrupt input raises recoil::Error. An indexed payload must have
+/// pdfs of one alphabet size and an id stream at least as long as the
+/// symbol stream (the decoder reads an id per symbol, unchecked). Container
+/// version 3: unit payload padded to an even offset, CRC32C trailer. Earlier
+/// versions (FNV-1a trailers) are refused as unsupported.
 std::vector<u8> save_recoil_file(const RecoilFile& f);
 /// Serialize `f`'s model and bitstream with `metadata` substituted — the
 /// §3.3 serving path's shape (combine metadata, keep everything else)

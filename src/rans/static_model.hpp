@@ -4,6 +4,7 @@
 // decode LUT (Equation 2's symbol search) in the table layouts consumed by
 // both the scalar and SIMD decoders.
 
+#include <bit>
 #include <memory>
 #include <span>
 #include <vector>
@@ -38,6 +39,11 @@ struct EncSymbolFast {
         return x + bias + q * cmpl_freq;
     }
 
+    /// The symbol's cumulative frequency, recovered from `bias` (see make).
+    u32 cum(u32 prob_bits) const noexcept {
+        return freq < 2 ? bias - ((u32{1} << prob_bits) - 1) : bias;
+    }
+
     static EncSymbolFast make(u32 freq, u32 cum, u32 prob_bits) noexcept {
         EncSymbolFast e{};
         e.freq = freq;
@@ -50,8 +56,7 @@ struct EncSymbolFast {
             e.rcp_shift = 0;
             e.bias = cum + (u32{1} << prob_bits) - 1;
         } else {
-            u32 shift = 0;
-            while (freq > (u32{1} << shift)) ++shift;
+            const u32 shift = static_cast<u32>(std::bit_width(freq - 1));  // ceil(log2 freq)
             e.rcp_freq = static_cast<u64>(
                 ((static_cast<unsigned __int128>(1) << (shift + 63)) + freq - 1) /
                 freq);
@@ -92,6 +97,16 @@ struct DecodeTables {
     }
 };
 
+/// The one decode-table writer: fill all 2^prob_bits slots of `fc` and `sym`
+/// (and of `packed`, when non-null) from the quantized pdf `freq`, in the
+/// DecodeTables layout above. Every caller (StaticModel, IndexedModelSet)
+/// builds its slots here. The running sum is checked before each symbol's
+/// run is written, so a pdf that overshoots 2^prob_bits raises recoil::Error
+/// without writing past the last slot; one that falls short raises after the
+/// last run. prob_bits must be in [1, 16] (the fc layout's cum field).
+void fill_decode_slots(std::span<const u32> freq, u32 prob_bits, u32* fc, u32* sym,
+                       u32* packed = nullptr);
+
 class StaticModel {
 public:
     /// Build from raw counts (quantizes internally).
@@ -104,6 +119,8 @@ public:
 
     u32 freq(u32 sym) const noexcept { return freq_[sym]; }
     u32 cum(u32 sym) const noexcept { return cum_[sym]; }
+    /// The quantized pdf (sums to 2^prob_bits).
+    std::span<const u32> pdf() const noexcept { return freq_; }
 
     /// Encode-side lookup; `sym_index` ignored (static model).
     EncSymbol enc_lookup(u64 /*sym_index*/, u32 sym) const noexcept {

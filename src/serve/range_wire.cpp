@@ -284,11 +284,7 @@ std::vector<TSym> decode_range_impl(std::span<const u8> bytes,
         const RangeSegmentInfo& info = seg.info;
         std::vector<TSym> cover;
         if (info.indexed) {
-            std::vector<StaticModel> models;
-            models.reserve(seg.freqs.size());
-            for (const auto& f : seg.freqs)
-                models.emplace_back(std::span<const u32>(f), seg.prob_bits, 0);
-            IndexedModelSet set(std::move(models), seg.ids);
+            const IndexedModelSet set(seg.freqs, seg.prob_bits, seg.ids, nullptr);
             DecodeTables t = set.tables();
             // The slice's ids[0] is position ids_lo; rebase so the decoder's
             // absolute indexing lands on it (integer arithmetic to stay

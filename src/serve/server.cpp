@@ -476,6 +476,11 @@ u32 ContentServer::produce(const Prepared& p, WirePieces& pieces,
 ServeResult ContentServer::serve_impl(const ServeRequest& req,
                                       obs::TraceContext& trace,
                                       u64 start_ns) {
+    // Only a stream can start mid-wire; the wire decoder refuses the same
+    // request for the same reason.
+    if (req.resume_offset != 0)
+        throw ProtocolError(ErrorCode::bad_request,
+                            "serve: resume offset without a streamed response");
     const Prepared p = [&] {
         auto span = trace.span("prepare", h_prepare_);
         return prepare(req, start_ns);

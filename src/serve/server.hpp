@@ -181,6 +181,8 @@ public:
     /// (a daemon loop, or any thread calling in directly). Assets
     /// not resident in memory are demand-loaded from the attached backing
     /// store (AssetStore::resolve) as zero-copy views of the mapped master.
+    /// A nonzero ServeRequest::resume_offset is a typed bad_request: only
+    /// serve_stream resumes.
     ServeResult serve(const ServeRequest& req) noexcept;
 
     /// Serve one request as a pull-based stream of v2 frames. Requires the

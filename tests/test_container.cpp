@@ -1,11 +1,13 @@
 // Container format tests: round-trip, the §3.3 serving path, failure
 // injection (bit flips anywhere must be detected by the checksum), the
-// CRC32C integrity primitive, and refusal of pre-CRC format versions.
+// CRC32C integrity primitive, refusal of pre-CRC format versions, and
+// parse-time refusal of indexed payloads a decoder cannot read safely.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <string>
 
 #include "conventional/conventional.hpp"
@@ -278,6 +280,78 @@ TEST(Container, PreCrcVersionsAreRefused) {
     expect_refused(test::reseal(std::move(conv)),
                    [](const std::vector<u8>& b) { format::load_conventional_file(b); },
                    "unsupported version");
+}
+
+}  // namespace
+}  // namespace recoil
+
+namespace recoil {
+namespace {
+
+/// A small indexed container: two pdfs over a 64-symbol alphabet, the model
+/// id alternating per symbol.
+format::RecoilFile make_indexed_file(std::size_t n) {
+    auto syms = test::geometric_symbols<u16>(n, 0.6, 64, 9);
+    std::vector<u8> ids(n);
+    std::vector<u64> c0(64, 1), c1(64, 1);
+    for (std::size_t i = 0; i < n; ++i) {
+        ids[i] = static_cast<u8>(i % 2);
+        ++(ids[i] == 0 ? c0 : c1)[syms[i]];
+    }
+    std::vector<StaticModel> models{StaticModel(c0, 12), StaticModel(c1, 12)};
+    format::RecoilFile::IndexedPayload payload;
+    for (const StaticModel& m : models)
+        payload.freqs.emplace_back(m.pdf().begin(), m.pdf().end());
+    payload.ids = ids;
+    IndexedModelSet set(std::move(models), ids);
+    auto enc = recoil_encode<Rans32, 32>(std::span<const u16>(syms), set, 4);
+
+    format::RecoilFile f;
+    f.sym_width = 2;
+    f.prob_bits = 12;
+    f.metadata = enc.metadata;
+    f.units = enc.bitstream.units;
+    f.model = std::move(payload);
+    return f;
+}
+
+/// Both parse modes: owned, and view with the bytes kept by a shared vector.
+void expect_both_loads_refuse(std::vector<u8> bytes, const std::string& what) {
+    expect_refused(bytes, [](const std::vector<u8>& b) { format::load_recoil_file(b); },
+                   what);
+    auto kept = std::make_shared<const std::vector<u8>>(std::move(bytes));
+    expect_refused(*kept,
+                   [&](const std::vector<u8>& b) {
+                       format::load_recoil_file_view(b, kept);
+                   },
+                   what);
+}
+
+TEST(Container, ShortIdStreamRefused) {
+    // The decoder reads one id per symbol with no bound of its own, so an id
+    // stream shorter than the symbol stream must not get past the parser.
+    auto f = make_indexed_file(4096);
+    const auto good = format::save_recoil_file(f);
+    auto g = format::load_recoil_file(good);
+    const auto set = g.build_indexed_model();
+    const auto dec = recoil_decode<Rans32, 32, u16>(std::span<const u16>(g.units),
+                                                    g.metadata, set.tables());
+    ASSERT_EQ(dec.size(), 4096u);
+
+    auto& payload = std::get<format::RecoilFile::IndexedPayload>(f.model);
+    const format::ByteBuffer ids = payload.ids;
+    for (const std::size_t len : {std::size_t{0}, std::size_t{16}, std::size_t{4095}}) {
+        payload.ids = ids.slice(0, len);
+        expect_both_loads_refuse(format::save_recoil_file(f),
+                                 "id stream shorter than the symbol stream");
+    }
+}
+
+TEST(Container, MixedAlphabetRefused) {
+    auto f = make_indexed_file(4096);
+    auto& payload = std::get<format::RecoilFile::IndexedPayload>(f.model);
+    payload.freqs[1].push_back(0);  // still sums to 2^12, one symbol longer
+    expect_both_loads_refuse(format::save_recoil_file(f), "model alphabets differ");
 }
 
 }  // namespace

@@ -278,6 +278,26 @@ TEST_F(StreamingFixture, ResumeOffsetAtTheWireEndIsLegalPastItIsTyped) {
     EXPECT_EQ(server.totals().failures, failures + 1);
 }
 
+TEST_F(StreamingFixture, ResumeOffsetOnMaterializedServeIsBadRequest) {
+    // serve() answers with the whole wire, so it cannot honour a resume
+    // offset: a typed bad_request, as decode_request answers for the same
+    // request on the wire, never an ok whole wire. serve_stream keeps its
+    // seek (the resume tests above).
+    for (const char* name : {"static", "indexed", "chunked"}) {
+        const u64 failures = server.totals().failures;
+        ServeRequest req{name, 4, std::nullopt, kAcceptStream};
+        req.resume_offset = 1000;
+        const ServeResult res = server.serve(req);
+        EXPECT_EQ(res.code, ErrorCode::bad_request) << name;
+        EXPECT_EQ(res.wire, nullptr) << name;
+        EXPECT_EQ(server.totals().failures, failures + 1) << name;
+
+        ServeRequest v1 = req;
+        v1.accept = kAcceptAll;
+        EXPECT_EQ(server.serve(v1).code, ErrorCode::bad_request) << name;
+    }
+}
+
 TEST_F(StreamingFixture, ErrorsAreASingleTypedHeaderFrame) {
     auto missing = collect_frames(
         server.serve_stream({"nope", 1, std::nullopt, kAcceptStream}));
