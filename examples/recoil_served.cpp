@@ -52,8 +52,8 @@ u64 parse_bytes(const char* s) {
 int usage() {
     std::fprintf(stderr,
                  "usage: recoil_served [--store DIR] [--port N] [--bind ADDR]\n"
-                 "                     [--cache-policy NAME] [--mem-budget SZ]\n"
-                 "                     [--max-conns N] [--idle-timeout MS]\n"
+                 "                     [--mem-budget SZ] [--max-conns N]\n"
+                 "                     [--idle-timeout MS]\n"
                  "                     [--seed-demo] [--loops N]\n");
     return 2;
 }
@@ -63,7 +63,6 @@ int usage() {
 int main(int argc, char** argv) {
     const char* store_dir = nullptr;
     bool seed_demo = false;
-    serve::CachePolicyConfig cache_policy;
     u64 mem_budget = 0;
     net::DaemonOptions dopt;
     for (int i = 1; i < argc; ++i) {
@@ -80,13 +79,6 @@ int main(int argc, char** argv) {
             dopt.port = static_cast<u16>(std::atoi(need("--port")));
         } else if (std::strcmp(argv[i], "--bind") == 0) {
             dopt.bind_address = need("--bind");
-        } else if (std::strcmp(argv[i], "--cache-policy") == 0) {
-            auto parsed = serve::parse_cache_policy(need("--cache-policy"));
-            if (!parsed) {
-                std::fprintf(stderr, "unknown cache policy '%s'\n", argv[i]);
-                return 2;
-            }
-            cache_policy = *parsed;
         } else if (std::strcmp(argv[i], "--mem-budget") == 0) {
             if ((mem_budget = parse_bytes(need("--mem-budget"))) == 0) {
                 std::fprintf(stderr, "--mem-budget requires a size, e.g. 64M\n");
@@ -116,7 +108,6 @@ int main(int argc, char** argv) {
 
     try {
         serve::ServerOptions sopt;
-        sopt.cache_policy = cache_policy;
         sopt.mem_budget_bytes = mem_budget;
         serve::ContentServer server(sopt);
         if (store_dir != nullptr) {

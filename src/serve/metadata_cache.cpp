@@ -9,15 +9,10 @@
 
 namespace recoil::serve {
 
-MetadataCache::MetadataCache(u64 capacity_bytes, CachePolicyConfig policy)
-    : capacity_(capacity_bytes),
-      policy_cfg_(policy),
-      policy_(make_eviction_policy(policy, capacity_bytes)),
-      admission_(make_admission_policy(policy, capacity_bytes)) {}
+MetadataCache::MetadataCache(u64 capacity_bytes) : capacity_(capacity_bytes) {}
 
 WireBytes MetadataCache::get(std::string_view asset_key, u32 parallelism,
-                             u32* splits_out, bool record_access,
-                             u64 now_ns) {
+                             u32* splits_out, u64 now_ns) {
     const KeyView key = key_view(asset_key, parallelism);
     WireBytes wire;
     EntryId id = kNoEntry;
@@ -31,33 +26,30 @@ WireBytes MetadataCache::get(std::string_view asset_key, u32 parallelism,
             if (splits_out != nullptr) *splits_out = it->second.splits;
         }
     }
-    const bool buffered = record_access || id != kNoEntry;
-    const u64 stamp = !buffered ? 0 : now_ns != 0 ? now_ns : steady_now_ns();
     ReadBuffer& buf = read_buffers_[util::thread_stripe()];
+    if (wire == nullptr) {
+        util::MutexLock lk(buf.mu);
+        ++buf.misses;
+        return wire;
+    }
+    const u64 stamp = now_ns != 0 ? now_ns : steady_now_ns();
     u32 held = 0;
     {
         util::MutexLock lk(buf.mu);
-        if (wire != nullptr) {
-            ++buf.hits;
-            buf.hit_bytes += wire->size();
+        ++buf.hits;
+        buf.hit_bytes += wire->size();
+        held = buf.size.load(std::memory_order_relaxed);
+        if (held < kReadBufferSlots) {
+            buf.events[held++] = ReadEvent{stamp, id};
+            buf.size.store(held, std::memory_order_relaxed);
         } else {
-            ++buf.misses;
-        }
-        if (buffered) {
-            held = buf.size.load(std::memory_order_relaxed);
-            if (held < kReadBufferSlots) {
-                buf.events[held++] = ReadEvent{stamp, id, key.hash,
-                                               record_access};
-                buf.size.store(held, std::memory_order_relaxed);
-            } else {
-                ++buf.drops;
-            }
+            ++buf.drops;
         }
     }
-    // Readers never wait for the policies: whoever holds policy_mu_ is a
+    // Readers never wait for the recency list: whoever holds lru_mu_ is a
     // mutator (which drains first) or another reader's drain.
-    if (held >= kDrainAt && policy_mu_.try_lock()) {
-        util::MutexLock lk(policy_mu_, util::adopt_lock);
+    if (held >= kDrainAt && lru_mu_.try_lock()) {
+        util::MutexLock lk(lru_mu_, util::adopt_lock);
         drain_locked();
     }
     return wire;
@@ -91,10 +83,10 @@ void MetadataCache::drain_locked() {
     if (!std::is_sorted(drained_.begin(), drained_.end(), by_stamp))
         std::stable_sort(drained_.begin(), drained_.end(), by_stamp);
     for (const ReadEvent& ev : drained_) {
-        if (ev.record) admission_->record(ev.key_hash);
         // An entry erased since its hit was buffered is no longer tracked.
-        if (ev.id != kNoEntry && by_id_.contains(ev.id))
-            policy_->on_touch(ev.id);
+        auto it = by_id_.find(ev.id);
+        if (it != by_id_.end())
+            lru_.splice(lru_.begin(), lru_, it->second.lru);
     }
     ++stats_.read_drains;
 }
@@ -104,7 +96,7 @@ void MetadataCache::put(std::string_view asset_key, u32 parallelism,
     RECOIL_CHECK(wire != nullptr, "cache put: null payload");
     // Declared before the lock: displaced wires are dropped after it.
     std::vector<WireBytes> released;
-    util::MutexLock lk(policy_mu_);
+    util::MutexLock lk(lru_mu_);
     drain_locked();
     const KeyView key = key_view(asset_key, parallelism);
     const std::size_t si = shard_of(key.hash);
@@ -118,8 +110,6 @@ void MetadataCache::put(std::string_view asset_key, u32 parallelism,
         if (it != sh.map.end()) {
             resident = it->second.id;
             if (fits) {
-                // Refresh in place: already admitted once, the gate does
-                // not re-run.
                 stats_.bytes = stats_.bytes - it->second.wire->size() + size;
                 released.push_back(
                     std::exchange(it->second.wire, std::move(wire)));
@@ -137,22 +127,17 @@ void MetadataCache::put(std::string_view asset_key, u32 parallelism,
         return;
     }
     if (resident != kNoEntry) {
-        policy_->on_touch(resident);
-        policy_->on_resize(resident, size);
+        lru_.splice(lru_.begin(), lru_, by_id_.at(resident).lru);
     } else {
-        if (!admission_->admit(key.hash, size)) {
-            ++stats_.admission_rejected;
-            return;
-        }
         const EntryId id = next_id_++;
         {
             util::MutexLock sl(sh.mu);
             auto [pos, inserted] = sh.map.emplace(
                 Key{std::string(asset_key), parallelism, key.hash},
                 Entry{std::move(wire), splits, id});
-            by_id_[id] = Location{si, &pos->first};
+            lru_.push_front(id);
+            by_id_[id] = Location{si, &pos->first, lru_.begin()};
         }
-        policy_->on_insert(id, size);
         stats_.bytes += size;
         ++stats_.entries;
         ++stats_.insertions;
@@ -170,7 +155,7 @@ void MetadataCache::erase_entry_locked(EntryId id,
     RECOIL_CHECK(idx != by_id_.end(), "cache: unknown entry id");
     const Location loc = idx->second;
     by_id_.erase(idx);
-    policy_->on_erase(id);
+    lru_.erase(loc.lru);
     Shard& sh = shards_[loc.shard];
     util::MutexLock sl(sh.mu);
     auto it = sh.map.find(*loc.key);
@@ -184,16 +169,15 @@ void MetadataCache::erase_entry_locked(EntryId id,
 void MetadataCache::evict_until_locked(u64 target_bytes,
                                        std::vector<WireBytes>& released) {
     while (stats_.bytes > target_bytes && stats_.entries > 0) {
-        const EntryId id = policy_->victim();
-        RECOIL_CHECK(id != kNoEntry, "cache: policy lost a resident entry");
-        erase_entry_locked(id, released);
+        RECOIL_CHECK(!lru_.empty(), "cache: recency list lost an entry");
+        erase_entry_locked(lru_.back(), released);
         ++stats_.evictions;
     }
 }
 
 void MetadataCache::erase_asset(std::string_view asset_key) {
     std::vector<WireBytes> released;
-    util::MutexLock lk(policy_mu_);
+    util::MutexLock lk(lru_mu_);
     drain_locked();
     for (Shard& sh : shards_) {
         util::MutexLock sl(sh.mu);
@@ -205,8 +189,10 @@ void MetadataCache::erase_asset(std::string_view asset_key) {
             if (a == asset_key || derived) {
                 stats_.bytes -= it->second.wire->size();
                 --stats_.entries;
-                by_id_.erase(it->second.id);
-                policy_->on_erase(it->second.id);
+                auto idx = by_id_.find(it->second.id);
+                RECOIL_CHECK(idx != by_id_.end(), "cache: unindexed entry");
+                lru_.erase(idx->second.lru);
+                by_id_.erase(idx);
                 released.push_back(std::move(it->second.wire));
                 it = sh.map.erase(it);
             } else {
@@ -219,7 +205,7 @@ void MetadataCache::erase_asset(std::string_view asset_key) {
 
 void MetadataCache::shrink_to(u64 target_bytes) {
     std::vector<WireBytes> released;
-    util::MutexLock lk(policy_mu_);
+    util::MutexLock lk(lru_mu_);
     drain_locked();
     evict_until_locked(target_bytes, released);
     publish_bytes_locked();
@@ -227,9 +213,8 @@ void MetadataCache::shrink_to(u64 target_bytes) {
 
 void MetadataCache::clear() {
     std::vector<std::unordered_map<Key, Entry, KeyHash, KeyEq>> released;
-    util::MutexLock lk(policy_mu_);
-    // Drained first: the admission records survive a clear (the sketch
-    // models the access stream); the touches then find nothing tracked.
+    util::MutexLock lk(lru_mu_);
+    // Drained first, so no buffered touch outlives the entries it names.
     drain_locked();
     released.reserve(kShards);
     for (Shard& sh : shards_) {
@@ -237,7 +222,7 @@ void MetadataCache::clear() {
         released.emplace_back().swap(sh.map);
     }
     by_id_.clear();
-    policy_->clear();
+    lru_.clear();
     stats_.bytes = 0;
     stats_.entries = 0;
     publish_bytes_locked();
@@ -246,7 +231,7 @@ void MetadataCache::clear() {
 CacheStats MetadataCache::stats() const {
     CacheStats s;
     {
-        util::MutexLock lk(policy_mu_);
+        util::MutexLock lk(lru_mu_);
         s = stats_;
     }
     for (ReadBuffer& buf : read_buffers_) {
@@ -280,9 +265,6 @@ void MetadataCache::bind_metrics(obs::MetricsRegistry* reg) {
                            poll(&CacheStats::evictions));
     reg->register_callback("cache_rejected_total", MetricKind::counter,
                            poll(&CacheStats::rejected));
-    reg->register_callback("cache_admission_rejected_total",
-                           MetricKind::counter,
-                           poll(&CacheStats::admission_rejected));
     reg->register_callback("cache_peak_bytes", MetricKind::gauge,
                            poll(&CacheStats::peak_bytes));
     reg->register_callback("cache_bytes", MetricKind::gauge,

@@ -7,41 +7,39 @@
 // Range responses reuse the same cache under a derived asset key (see
 // server.cpp), hence the string key rather than an asset pointer.
 //
-// Decision-making is delegated to the pluggable policy layer
-// (cache_policy.hpp): an EvictionPolicy picks victims (LRU by default —
-// bit-exact with the historical cache — or segmented LRU) and an
-// AdmissionPolicy gates brand-new entries (admit-all by default, or a
-// size-aware TinyLFU frequency sketch). The cache owns storage, stats, and
-// the byte-capacity invariant; policies own ordering and gatekeeping.
+// Eviction is exact LRU by bytes: one recency list, a hit or a refresh
+// moves the entry to the front, and a put past capacity evicts from the
+// back until the cache fits again. Every new entry is admitted.
 //
 // Concurrency (docs/serve_cache.md, "Read path"). A warm hit shares no
 // written cache line with other callers except its key's shard lock and the
 // returned wire's refcount:
 //   - the map is split into kShards shards, each under its own mutex, and
 //     looked up without copying the key string;
-//   - get() does not run the policy hooks inline: it appends a stamped
-//     touch (and the admission record) to its thread's read buffer, and a
-//     full-enough buffer is drained into the policies under try_lock of
-//     policy_mu_, so readers never wait on policy bookkeeping;
+//   - get() does not move the entry inline: a hit appends a stamped touch
+//     to its thread's read buffer, and a full-enough buffer is drained into
+//     the recency list under try_lock of lru_mu_, so readers never wait on
+//     recency bookkeeping. A miss buffers nothing;
 //   - hits/misses/hit_bytes are counted per read-buffer stripe, under the
 //     stripe lock the get takes anyway.
-// Every mutator (put, shrink_to, erase_asset, clear) takes policy_mu_ and
-// drains every buffer first, merging the events by their steady-clock stamps
-// so the policies see accesses in the order they happened: a serial request
-// stream yields exactly the victims an inline LRU would, whichever threads
-// served it. Touches of entries erased since they were buffered are skipped.
-// Lock order: policy_mu_, then a shard mutex or a read-buffer mutex, one at
-// a time.
+// Every mutator (put, shrink_to, erase_asset, clear) takes lru_mu_ and
+// drains every buffer first, merging the touches by their steady-clock
+// stamps so the list sees accesses in the order they happened: a serial
+// request stream yields exactly the victims an inline LRU would, whichever
+// threads served it. Touches of entries erased since they were buffered are
+// skipped.
+// Lock order: lru_mu_, then a shard mutex or a read-buffer mutex, one at a
+// time.
 
 #include <array>
 #include <atomic>
+#include <list>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
-#include "serve/cache_policy.hpp"
 #include "serve/protocol.hpp"
 #include "util/ints.hpp"
 #include "util/striped_counter.hpp"
@@ -67,10 +65,6 @@ struct CacheStats {
     /// capacity. A persistently rising value means the capacity is
     /// mis-sized for the traffic, which a silent drop used to hide.
     u64 rejected = 0;
-    /// New entries the AdmissionPolicy turned away (e.g. TinyLFU rejecting
-    /// a one-hit wonder). Distinct from `rejected`: these entries would
-    /// have fit — the policy judged them not worth the bytes.
-    u64 admission_rejected = 0;
     /// High-water mark of `bytes` over the cache's lifetime. Like the
     /// cumulative counters it survives clear() (which resets the current
     /// size, not the history), so the memory story stays observable across
@@ -79,70 +73,60 @@ struct CacheStats {
     u64 bytes = 0;    ///< current cached payload bytes
     u64 entries = 0;  ///< current entry count
     /// Buffered touches dropped because the caller's read buffer was full
-    /// while another thread held the policy lock: recency the policy never
+    /// while another thread held the recency lock: hits the LRU order never
     /// saw. Rises only under contention; cumulative.
     u64 read_buffer_drops = 0;
-    /// Drain passes that applied buffered reads to the policies.
+    /// Drain passes that applied buffered hits to the recency list.
     /// Cumulative.
     u64 read_drains = 0;
 };
 
 class MetadataCache {
 public:
-    explicit MetadataCache(u64 capacity_bytes, CachePolicyConfig policy = {});
+    explicit MetadataCache(u64 capacity_bytes);
 
-    /// nullptr on miss. A hit refreshes the entry's position with the
-    /// eviction policy and, when `splits_out` is given, reports the split
-    /// count stored with the entry. With `record_access` (the default)
-    /// the lookup is recorded with the admission policy — that is where
-    /// its frequency sketch learns the key stream. Pass false for internal
-    /// re-lookups of the SAME logical request (the single-flight leader's
-    /// post-acquire recheck): double-recording would teach the sketch that
-    /// every cold key was seen twice, silently disarming the one-hit-
-    /// wonder gate.
-    /// The policy-side effects (touch, admission record) are buffered and
-    /// reach the policies before the next put/shrink_to/erase_asset/clear,
-    /// in the order of their stamps: `now_ns` (steady_now_ns()), or the
-    /// clock read here when 0. A caller that took a timestamp at the start
-    /// of the same request passes it and saves the clock read; serial
-    /// requests still stamp in the order they ran.
+    /// nullptr on miss. A hit makes the entry the most recently used and,
+    /// when `splits_out` is given, reports the split count stored with the
+    /// entry. The touch is buffered and reaches the recency list before the
+    /// next put/shrink_to/erase_asset/clear, in the order of its stamp:
+    /// `now_ns` (steady_now_ns()), or the clock read here when 0. A caller
+    /// that took a timestamp at the start of the same request passes it and
+    /// saves the clock read; serial requests still stamp in the order they
+    /// ran.
     WireBytes get(std::string_view asset_key, u32 parallelism,
-                  u32* splits_out = nullptr, bool record_access = true,
-                  u64 now_ns = 0) RECOIL_EXCLUDES(policy_mu_);
+                  u32* splits_out = nullptr, u64 now_ns = 0)
+        RECOIL_EXCLUDES(lru_mu_);
 
-    /// Insert (or refresh) an entry, evicting policy-chosen victims past
-    /// capacity. Payloads larger than the whole cache are never cached —
-    /// counted in CacheStats::rejected (an oversized refresh also drops the
-    /// now-stale resident entry rather than keep serving superseded bytes).
-    /// A NEW key must additionally pass the admission policy; a refusal
-    /// counts in CacheStats::admission_rejected. An entry exactly equal to
-    /// capacity is admitted (it fits — alone). `splits` is the work-item
-    /// count the response carries, echoed back by get().
+    /// Insert (or refresh) an entry, evicting least-recently-used entries
+    /// past capacity. Payloads larger than the whole cache are never cached
+    /// — counted in CacheStats::rejected (an oversized refresh also drops
+    /// the now-stale resident entry rather than keep serving superseded
+    /// bytes). An entry exactly equal to capacity is admitted (it fits —
+    /// alone). `splits` is the work-item count the response carries,
+    /// echoed back by get().
     void put(std::string_view asset_key, u32 parallelism, WireBytes wire,
-             u32 splits = 0) RECOIL_EXCLUDES(policy_mu_);
+             u32 splits = 0) RECOIL_EXCLUDES(lru_mu_);
 
     /// Drop every entry for `asset_key` (all parallelisms, and derived keys
     /// of the form "asset_key\n..." such as range responses). Not an
     /// eviction: the evictions counter is untouched.
-    void erase_asset(std::string_view asset_key) RECOIL_EXCLUDES(policy_mu_);
+    void erase_asset(std::string_view asset_key) RECOIL_EXCLUDES(lru_mu_);
 
-    /// Evict policy-chosen victims until current bytes <= `target_bytes`
+    /// Evict least-recently-used entries until current bytes <= `target_bytes`
     /// (counted as evictions — this is capacity pressure, from the resource
     /// governor rather than from an insertion). The configured capacity is
     /// unchanged: the cache may grow back.
-    void shrink_to(u64 target_bytes) RECOIL_EXCLUDES(policy_mu_);
+    void shrink_to(u64 target_bytes) RECOIL_EXCLUDES(lru_mu_);
 
     /// Drop every entry. Resets the current-size fields (`bytes`,
     /// `entries`) only; cumulative counters (hits/misses/insertions/
-    /// evictions/rejected/admission_rejected) survive, so observability
-    /// across a clear() is not lost. Dropped entries do not count as
-    /// evictions. The admission sketch also survives: it models the access
-    /// stream, which a contents clear does not rewrite.
-    void clear() RECOIL_EXCLUDES(policy_mu_);
+    /// evictions/rejected) survive, so observability across a clear() is
+    /// not lost. Dropped entries do not count as evictions.
+    void clear() RECOIL_EXCLUDES(lru_mu_);
     /// Residency probe: true when (asset_key, parallelism) is cached. No
-    /// stats, no touch, no admission record.
+    /// stats, no touch.
     bool contains(std::string_view asset_key, u32 parallelism) const;
-    CacheStats stats() const RECOIL_EXCLUDES(policy_mu_);
+    CacheStats stats() const RECOIL_EXCLUDES(lru_mu_);
     /// Publish this cache through `reg` as polled cache_* metrics (see
     /// docs/observability.md for the name catalogue). The callbacks read the
     /// same counters stats() reports, so both views are bit-identical.
@@ -156,21 +140,16 @@ public:
     u64 current_bytes() const noexcept {
         return bytes_now_.load(std::memory_order_relaxed);
     }
-    /// Canonical "eviction[-admission]" spelling, e.g. "slru-tinylfu".
-    std::string policy_name() const { return cache_policy_name(policy_cfg_); }
-    const CachePolicyConfig& policy_config() const noexcept {
-        return policy_cfg_;
-    }
 
 private:
     static constexpr std::size_t kShards = 32;
-    /// Buffered reads per thread stripe; a get that finds its buffer at
+    /// Buffered hits per thread stripe; a hit that finds its buffer at
     /// kDrainAt tries to drain, one that finds it full drops its touch.
     static constexpr u32 kReadBufferSlots = 64;
     static constexpr u32 kDrainAt = 16;
 
     /// Map keys carry their hash, computed once per call: it picks the
-    /// shard, is the map's hash, and is the admission sketch's key.
+    /// shard and is the map's hash.
     struct Key {
         std::string asset;
         u32 parallelism = 0;
@@ -206,6 +185,12 @@ private:
     }
     static_assert(kShards == 32, "shard_of() takes the top 5 bits");
 
+    /// Per-entry handle, assigned at insertion and unique over the cache's
+    /// lifetime (never reused, so a buffered touch of an erased entry can
+    /// never land on its successor).
+    using EntryId = u64;
+    static constexpr EntryId kNoEntry = 0;
+
     struct Entry {
         WireBytes wire;
         u32 splits = 0;
@@ -216,20 +201,19 @@ private:
         std::unordered_map<Key, Entry, KeyHash, KeyEq> map
             RECOIL_GUARDED_BY(mu);
     };
-    /// Where a policy id lives: its shard and its key (pointing into the
-    /// shard's node, stable until the node is erased under policy_mu_).
+    /// Where an entry lives: its shard, its key (pointing into the shard's
+    /// node, stable until the node is erased under lru_mu_) and its place
+    /// in the recency list.
     struct Location {
         std::size_t shard = 0;
         const Key* key = nullptr;
+        std::list<EntryId>::iterator lru;
     };
 
-    /// One buffered get: its steady-clock stamp, the entry it hit
-    /// (kNoEntry on a miss) and the admission record it owes.
+    /// One buffered hit: its steady-clock stamp and the entry it hit.
     struct ReadEvent {
         u64 stamp_ns = 0;
         EntryId id = kNoEntry;
-        u64 key_hash = 0;
-        bool record = false;
     };
     /// One thread stripe's read buffer, plus that stripe's share of the
     /// read counters: a get takes this lock anyway, so counting costs no
@@ -247,38 +231,36 @@ private:
         u64 drops RECOIL_GUARDED_BY(mu) = 0;
     };
 
-    /// Apply every buffered event to the policies in stamp order.
-    void drain_locked() RECOIL_REQUIRES(policy_mu_);
-    /// Remove one entry from its shard and the policy; its wire moves into
-    /// `released`, to be dropped once the locks are. Not counted here.
+    /// Apply every buffered hit to the recency list in stamp order.
+    void drain_locked() RECOIL_REQUIRES(lru_mu_);
+    /// Remove one entry from its shard and the recency list; its wire moves
+    /// into `released`, to be dropped once the locks are. Not counted here.
     void erase_entry_locked(EntryId id, std::vector<WireBytes>& released)
-        RECOIL_REQUIRES(policy_mu_);
+        RECOIL_REQUIRES(lru_mu_);
     void evict_until_locked(u64 target_bytes, std::vector<WireBytes>& released)
-        RECOIL_REQUIRES(policy_mu_);
+        RECOIL_REQUIRES(lru_mu_);
     /// Publish stats_.bytes to bytes_now_: the last step of every mutator.
-    void publish_bytes_locked() RECOIL_REQUIRES(policy_mu_);
+    void publish_bytes_locked() RECOIL_REQUIRES(lru_mu_);
 
-    u64 capacity_;           ///< immutable after construction
-    CachePolicyConfig policy_cfg_;  ///< immutable after construction
-    /// Guards the policies, the id index and the mutator-side stats; every
-    /// map mutation holds it as well as the shard's own mutex.
-    mutable util::Mutex policy_mu_;
-    std::unique_ptr<EvictionPolicy> policy_ RECOIL_GUARDED_BY(policy_mu_);
-    std::unique_ptr<AdmissionPolicy> admission_
-        RECOIL_GUARDED_BY(policy_mu_);
-    /// Policy id -> entry location: the tracked set the drain checks
-    /// buffered touches against, and the victim lookup.
-    std::unordered_map<EntryId, Location> by_id_ RECOIL_GUARDED_BY(policy_mu_);
-    EntryId next_id_ RECOIL_GUARDED_BY(policy_mu_) = 1;
+    u64 capacity_;  ///< immutable after construction
+    /// Guards the recency list, the id index and the mutator-side stats;
+    /// every map mutation holds it as well as the shard's own mutex.
+    mutable util::Mutex lru_mu_;
+    /// Entry ids, front = most recently used; the victim is the back.
+    std::list<EntryId> lru_ RECOIL_GUARDED_BY(lru_mu_);
+    /// Entry id -> location: the tracked set the drain checks buffered
+    /// touches against, and the victim lookup.
+    std::unordered_map<EntryId, Location> by_id_ RECOIL_GUARDED_BY(lru_mu_);
+    EntryId next_id_ RECOIL_GUARDED_BY(lru_mu_) = 1;
     /// Mutator-side counters and gauges; hits/misses/hit_bytes/drops live
     /// in the read buffers instead.
-    CacheStats stats_ RECOIL_GUARDED_BY(policy_mu_);
+    CacheStats stats_ RECOIL_GUARDED_BY(lru_mu_);
     /// Drain scratch, kept to avoid an allocation per drain.
-    std::vector<ReadEvent> drained_ RECOIL_GUARDED_BY(policy_mu_);
+    std::vector<ReadEvent> drained_ RECOIL_GUARDED_BY(lru_mu_);
     mutable std::array<Shard, kShards> shards_;  ///< mutable: contains()
     mutable std::array<ReadBuffer, util::kStripes> read_buffers_;  ///< stats()
     /// Lock-free mirror of stats_.bytes (documented escape): written only
-    /// by publish_bytes_locked() under policy_mu_, read without it by
+    /// by publish_bytes_locked() under lru_mu_, read without it by
     /// current_bytes() so the governor's pressure probe never contends
     /// with the cache.
     std::atomic<u64> bytes_now_{0};

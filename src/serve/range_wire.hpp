@@ -53,25 +53,13 @@ struct RangeWireInfo {
     std::vector<RangeSegmentInfo> segments;
 };
 
-struct BuiltRangeWire {
-    std::vector<u8> bytes;
-    u32 splits = 0;  ///< total covering splits across segments
-};
-
-/// Build the wire for symbols [lo, hi) of a RecoilFile asset (static or
-/// indexed model). Raises recoil::Error for an out-of-range request. A
-/// materializing adapter over range_wire_into.
-BuiltRangeWire build_range_wire(const format::RecoilFile& f, u64 lo, u64 hi);
-
-/// Build the wire for symbols [lo, hi) of a chunked asset, addressed in the
-/// stream's flat symbol space: the range decomposes into per-chunk covering
-/// splits, one segment per intersecting chunk.
-BuiltRangeWire build_range_wire(const stream::ChunkedStream& s, u64 lo, u64 hi);
-
-/// Streaming producers: emit the RCR2 wire into `sink` segment by segment,
-/// bit-exact with build_range_wire. Per-segment structural sections are
-/// small owned allocations; unit and id slices are borrowed views of the
-/// asset's shared storage. Returns the covering split count.
+/// Emit the RCR2 wire for symbols [lo, hi) into `sink` segment by segment:
+/// one segment for a RecoilFile asset (static or indexed model), one per
+/// intersecting chunk for a chunked asset, addressed in the stream's flat
+/// symbol space. Per-segment structural sections are small owned
+/// allocations; unit and id slices are borrowed views of the asset's shared
+/// storage. Raises recoil::Error for an out-of-range request. Returns the
+/// covering split count.
 u32 range_wire_into(const format::RecoilFile& f, u64 lo, u64 hi,
                     format::WireSink& sink);
 u32 range_wire_into(const stream::ChunkedStream& s, u64 lo, u64 hi,

@@ -222,7 +222,7 @@ std::optional<std::vector<u8>> ServeStream::next_frame() {
 
 ContentServer::ContentServer(ServerOptions opt)
     : opt_(std::move(opt)),
-      cache_(opt_.cache_capacity_bytes, opt_.cache_policy),
+      cache_(opt_.cache_capacity_bytes),
       governor_(store_, cache_, GovernorOptions{opt_.mem_budget_bytes}),
       slow_log_(opt_.slow_log_slots, opt_.slow_log_slots) {
     init_telemetry();
@@ -397,7 +397,7 @@ void ContentServer::maybe_govern() noexcept {
 void ContentServer::note_governance_failure(u16 code, std::string code_name,
                                             std::string detail) noexcept {
     // Governance is best-effort relief; a failed pass (allocation
-    // exhaustion under the very pressure it relieves, or a policy
+    // exhaustion under the very pressure it relieves, or a cache
     // invariant tripping) must not take a serve path down with it — but it
     // must not vanish either: the counter surfaces in Totals, and the slow
     // log keeps WHAT failed as a structured event with the typed code.
@@ -514,8 +514,8 @@ ServedWire ContentServer::serve_shared(const Prepared& p, ServeStats& stats,
     {
         obs::TraceContext::Scoped span(trace, "cache_lookup", nullptr);
         u32 splits = 0;
-        if (WireBytes wire = cache_.get(p.key, p.parallelism, &splits,
-                                        /*record_access=*/true, p.start_ns)) {
+        if (WireBytes wire =
+                cache_.get(p.key, p.parallelism, &splits, p.start_ns)) {
             stats.cache_hit = true;
             return {std::move(wire), splits};
         }
@@ -546,11 +546,10 @@ ServedWire ContentServer::serve_shared(const Prepared& p, ServeStats& stats,
     // Won the flight — but the previous leader may have populated the cache
     // between our miss and the flight insert (put happens before the flight
     // retires). Recheck before paying for a combine, and publish the cached
-    // wire to any followers already parked on this flight. The recheck is
-    // the same logical request, so it must not re-feed the admission sketch.
+    // wire to any followers already parked on this flight.
     u32 cached_splits = 0;
-    if (WireBytes cached = cache_.get(p.key, p.parallelism, &cached_splits,
-                                      /*record_access=*/false, p.start_ns)) {
+    if (WireBytes cached =
+            cache_.get(p.key, p.parallelism, &cached_splits, p.start_ns)) {
         ServedWire wire{std::move(cached), cached_splits};
         retire_flight(flight_key, flight, &wire, ErrorCode::ok, {});
         stats.cache_hit = true;

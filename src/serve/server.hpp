@@ -39,10 +39,6 @@ namespace recoil::serve {
 
 struct ServerOptions {
     u64 cache_capacity_bytes = u64{256} << 20;
-    /// Cache decision-making: eviction (lru | slru) and admission
-    /// (admit-all | tinylfu) policies. Defaults reproduce the historical
-    /// LRU cache bit-exactly.
-    CachePolicyConfig cache_policy;
     /// Global memory budget over cache bytes + resident store bytes; when
     /// exceeded, the resource governor unloads cold demand-loadable assets
     /// (and shrinks the cache if that is not enough). 0 disables.

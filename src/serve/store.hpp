@@ -84,14 +84,6 @@ struct StoredAssetInfo {
     u64 checksum = 0;  ///< CRC32C of the whole container file, zero-extended
 };
 
-struct DiskStoreOptions {
-    /// Verify each container's CRC32C against its manifest when
-    /// loading (one sequential pass over the mapped bytes). Off, corruption
-    /// is still caught by the container's own structural validation and
-    /// trailing checksum at parse time.
-    bool verify_on_load = true;
-};
-
 /// The on-disk directory: an index of manifests plus durable put/load/
 /// remove. Thread-safe; load() returns a mapping that outlives any
 /// subsequent replacement of the entry.
@@ -99,7 +91,7 @@ class DiskStore {
 public:
     /// Open the directory (creating it if absent) and index every manifest.
     /// Raises StoreError on unreadable manifests or missing/short containers.
-    explicit DiskStore(std::filesystem::path dir, DiskStoreOptions opt = {});
+    explicit DiskStore(std::filesystem::path dir);
 
     const std::filesystem::path& dir() const noexcept { return dir_; }
     std::vector<StoredAssetInfo> list() const RECOIL_EXCLUDES(mu_);
@@ -122,12 +114,11 @@ public:
     struct Loaded {
         StoredAssetInfo info;
         std::shared_ptr<const MappedFile> map;  ///< keeper for zero-copy views
-        /// The mapped bytes were CRC-verified against the manifest
-        /// (verify_on_load), so parsers may skip re-hashing them.
-        bool checksum_verified = false;
     };
-    /// mmap an asset's container. nullopt when the name is not stored;
-    /// StoreError when it is stored but unreadable or corrupt.
+    /// mmap an asset's container and verify its CRC32C against the manifest
+    /// (one sequential pass over the mapped bytes), so parsers may skip
+    /// re-hashing it. nullopt when the name is not stored; StoreError when
+    /// it is stored but unreadable or corrupt.
     std::optional<Loaded> load(const std::string& name) const
         RECOIL_EXCLUDES(mu_);
 
@@ -143,11 +134,11 @@ public:
         bool ok() const noexcept { return issues.empty(); }
     };
     /// Re-walk every manifest and container: mmap, CRC-check against the
-    /// manifest (regardless of verify_on_load), and structurally parse the
-    /// container. Corrupt assets come back as typed issues instead of a
-    /// throw on the first defect — the boot-time scrub a server runs so a
-    /// bad asset surfaces before its first demand-load does. Healthy assets
-    /// are untouched in memory terms: mappings are dropped on return.
+    /// manifest, and structurally parse the container. Corrupt assets come
+    /// back as typed issues instead of a throw on the first defect — the
+    /// boot-time scrub a server runs so a bad asset surfaces before its
+    /// first demand-load does. Healthy assets are untouched in memory
+    /// terms: mappings are dropped on return.
     VerifyReport verify() const RECOIL_EXCLUDES(mu_);
 
     /// Remove an asset's container and manifest. Existing mappings stay
@@ -181,7 +172,6 @@ private:
     std::filesystem::path manifest_path(const std::string& name) const;
 
     std::filesystem::path dir_;
-    DiskStoreOptions opt_;
     // mu_ guards the manifest index AND frames the on-disk commit protocol
     // (put/remove mutate files under it). The traffic counters below are
     // relaxed atomics — the documented escape that keeps stats() lock-free.
@@ -195,8 +185,11 @@ private:
 };
 
 /// Construct the in-memory asset for a mapped container: kind-dispatched
-/// parse with zero-copy unit/id views retaining the mapping. The asset's
-/// uid is NOT set here (the AssetStore assigns it from info.generation).
+/// parse with zero-copy unit/id views retaining the mapping. The bytes are
+/// taken as already CRC-verified against the manifest (load() and verify()
+/// both check before calling), so the parser does not re-hash them. The
+/// asset's uid is NOT set here (the AssetStore assigns it from
+/// info.generation).
 std::shared_ptr<Asset> asset_from_mapped(const DiskStore::Loaded& loaded);
 
 }  // namespace recoil::serve

@@ -1,10 +1,10 @@
-// Tests for the pluggable cache-policy layer and the resource governor:
-// LRU stays bit-exact with the historical cache (the seeded-Zipf regression
-// in test_single_flight is the end-to-end anchor; here the counter edges are
-// pinned), segmented LRU protects reused entries from scan pollution,
-// TinyLFU admission rejects expensive one-hit wonders, and the governor
-// unloads cold demand-loadable assets under a global byte budget without
-// ever touching pinned assets or assets pinned by in-flight streams.
+// Tests for the response cache's LRU discipline and the resource governor:
+// eviction order is exact LRU whichever threads served a serial request
+// stream (the seeded-Zipf regression in test_single_flight is the
+// end-to-end anchor; here the counter edges and the read buffer are
+// pinned), and the governor unloads cold demand-loadable assets under a
+// global byte budget without ever touching pinned assets or assets pinned
+// by in-flight streams.
 
 #include <gtest/gtest.h>
 
@@ -28,13 +28,6 @@ namespace fs = std::filesystem;
 
 WireBytes wire_of(u64 n, u8 fill) {
     return std::make_shared<const std::vector<u8>>(n, fill);
-}
-
-CachePolicyConfig slru_config(double protected_fraction = 0.8) {
-    CachePolicyConfig cfg;
-    cfg.eviction = EvictionKind::slru;
-    cfg.slru_protected_fraction = protected_fraction;
-    return cfg;
 }
 
 /// Fresh store directory per test; removed on destruction.
@@ -141,16 +134,14 @@ TEST(CachePolicy, HitBytesAccumulateForByteHitRate) {
 // ---- read-buffered touches stay exact across threads ----
 
 /// Keys evicted by each step of a get-else-put replay of `plan`, probed
-/// with contains() (which neither touches nor records) over every key.
-/// With `two_threads`, consecutive steps run on alternating threads,
-/// strictly one after another: a serial request stream whose buffered
-/// touches land in two different read buffers.
-std::vector<std::vector<u32>> victim_sequence(const CachePolicyConfig& cfg,
-                                              u64 capacity,
-                                              const std::vector<u32>& plan,
-                                              const std::vector<WireBytes>& wires,
-                                              bool two_threads) {
-    MetadataCache cache(capacity, cfg);
+/// with contains() (which does not touch) over every key. Consecutive
+/// steps run on alternating threads, strictly one after another: a serial
+/// request stream whose buffered touches land in two different read
+/// buffers.
+std::vector<std::vector<u32>> victim_sequence(
+    u64 capacity, const std::vector<u32>& plan,
+    const std::vector<WireBytes>& wires) {
+    MetadataCache cache(capacity);
     std::vector<std::vector<u32>> victims(plan.size());
     std::vector<bool> resident(wires.size(), false);
     auto step = [&](std::size_t i) {
@@ -162,10 +153,6 @@ std::vector<std::vector<u32>> victim_sequence(const CachePolicyConfig& cfg,
             resident[k] = now;
         }
     };
-    if (!two_threads) {
-        for (std::size_t i = 0; i < plan.size(); ++i) step(i);
-        return victims;
-    }
     std::atomic<std::size_t> turn{0};
     auto worker = [&](std::size_t parity) {
         for (std::size_t i = parity; i < plan.size(); i += 2) {
@@ -214,130 +201,37 @@ TEST(CachePolicy, SerialRequestsOnTwoThreadsEvictLikeOneThread) {
             std::sort(reference[i].begin(), reference[i].end());
         }
     }
-    const auto lru = victim_sequence({}, capacity, plan, wires, true);
+    const auto lru = victim_sequence(capacity, plan, wires);
     EXPECT_EQ(lru, reference);
-
-    const auto cfg = parse_cache_policy("slru-tinylfu");
-    ASSERT_TRUE(cfg.has_value());
-    const auto one = victim_sequence(*cfg, capacity, plan, wires, false);
-    const auto two = victim_sequence(*cfg, capacity, plan, wires, true);
-    EXPECT_EQ(two, one);
     std::size_t evicted = 0;
-    for (const auto& v : one) evicted += v.size();
+    for (const auto& v : lru) evicted += v.size();
     EXPECT_GT(evicted, 100u) << "the plan must exercise eviction";
 }
 
-// ---- segmented LRU ----
-
-TEST(CachePolicy, SlruScanTrafficCannotFlushTheProtectedSet) {
-    // Capacity 100, protected cap 80. Two entries are reused (promoted to
-    // protected); a stream of one-shot scan entries then churns probation
-    // without ever displacing the protected pair — under plain LRU the
-    // scans would have flushed them.
-    MetadataCache cache(100, slru_config(0.8));
-    cache.put("hot1", 1, wire_of(30, 1));
-    cache.put("hot2", 1, wire_of(30, 2));
-    ASSERT_NE(cache.get("hot1", 1), nullptr);  // promote
-    ASSERT_NE(cache.get("hot2", 1), nullptr);  // promote
-
-    for (int i = 0; i < 16; ++i)
-        cache.put("scan" + std::to_string(i), 1, wire_of(30, u8(i)));
-
-    EXPECT_NE(cache.get("hot1", 1), nullptr);
-    EXPECT_NE(cache.get("hot2", 1), nullptr);
-    // Every scan wave evicted from probation; the last scan may or may not
-    // be resident, but at most one can fit next to the protected pair.
-    EXPECT_LE(cache.stats().entries, 3u);
-    EXPECT_GE(cache.stats().evictions, 15u);
-}
-
-TEST(CachePolicy, SlruDemotesWhenProtectedOverflowsItsByteCap) {
-    // Protected cap = 60 of 100: promoting a third 30-byte entry demotes
-    // the coldest protected entry back to probation, where a scan can
-    // evict it — the cap keeps "protected" an earned, bounded status.
-    MetadataCache cache(100, slru_config(0.6));
-    cache.put("a", 1, wire_of(30, 1));
-    cache.put("b", 1, wire_of(30, 2));
-    cache.put("c", 1, wire_of(30, 3));
-    cache.get("a", 1);
-    cache.get("b", 1);
-    cache.get("c", 1);  // protected would be 90 > 60: "a" demoted
-
-    // A scan entry fills probation past capacity; the victim comes from
-    // probation: first the scan's own predecessors, then demoted "a".
-    cache.put("s1", 1, wire_of(30, 4));
-    EXPECT_EQ(cache.get("a", 1), nullptr) << "demoted entry outlived a scan";
-    EXPECT_NE(cache.get("b", 1), nullptr);
-    EXPECT_NE(cache.get("c", 1), nullptr);
-}
-
-TEST(CachePolicy, SlruEvictsFromProtectedOnlyWhenProbationIsEmpty) {
-    MetadataCache cache(100, slru_config(1.0));  // everything promotable
-    cache.put("a", 1, wire_of(50, 1));
-    cache.put("b", 1, wire_of(50, 2));
-    cache.get("a", 1);
-    cache.get("b", 1);  // both protected; probation empty
-    cache.put("c", 1, wire_of(50, 3));
-    // c sits in probation; over capacity, victim comes from probation (c
-    // itself would be next) — but first the insert pushed bytes to 150, so
-    // the probation victim is c's own segment: a and b survive.
-    EXPECT_NE(cache.get("a", 1), nullptr);
-    EXPECT_NE(cache.get("b", 1), nullptr);
-}
-
-// ---- TinyLFU admission ----
-
-TEST(CachePolicy, TinyLfuRejectsExpensiveOneHitWonders) {
-    CachePolicyConfig cfg;
-    cfg.admission = AdmissionKind::tinylfu;
-    cfg.tinylfu_small_floor = 50;
-    MetadataCache cache(1000, cfg);
-
-    // A large never-seen key is refused outright: one observed access (or
-    // none) does not justify 500 bytes.
-    cache.put("big", 1, wire_of(500, 1));
+TEST(CachePolicy, MissesStayOutOfTheReadBuffer) {
+    // A miss has no entry to move, so it buffers nothing: 64 misses on one
+    // thread (a whole buffer, four drain thresholds) neither drain nor drop.
+    MetadataCache cache(300);
+    cache.put("a", 1, wire_of(100, 1));
+    cache.put("b", 1, wire_of(100, 2));
+    cache.put("c", 1, wire_of(100, 3));  // "a" is now the coldest
+    for (int i = 0; i < 64; ++i)
+        EXPECT_EQ(cache.get("miss" + std::to_string(i), 1), nullptr);
     CacheStats s = cache.stats();
-    EXPECT_EQ(s.admission_rejected, 1u);
-    EXPECT_EQ(s.insertions, 0u);
-    EXPECT_EQ(s.entries, 0u);
+    EXPECT_EQ(s.misses, 64u);
+    EXPECT_EQ(s.read_drains, 0u);
+    EXPECT_EQ(s.read_buffer_drops, 0u);
 
-    // A small stranger is a cheap gamble: admitted.
-    cache.put("small", 1, wire_of(40, 2));
-    EXPECT_EQ(cache.stats().insertions, 1u);
-
-    // Demonstrated reuse admits the big key: two recorded lookups put its
-    // sketch estimate at 2.
-    EXPECT_EQ(cache.get("big", 1), nullptr);
-    EXPECT_EQ(cache.get("big", 1), nullptr);
-    cache.put("big", 1, wire_of(500, 1));
+    // A hit is still buffered, and shrink_to drains it before choosing a
+    // victim: "a" survives and "b" goes.
+    ASSERT_NE(cache.get("a", 1), nullptr);
+    cache.shrink_to(200);
     s = cache.stats();
-    EXPECT_EQ(s.admission_rejected, 1u);  // unchanged
-    EXPECT_EQ(s.insertions, 2u);
-    EXPECT_NE(cache.get("big", 1), nullptr);
-}
-
-TEST(CachePolicy, TinyLfuSketchEstimatesSaturateAndClear) {
-    TinyLfuAdmission lfu(/*small_floor_bytes=*/10, /*width=*/128);
-    const u64 key = 0x1234abcdu;
-    EXPECT_EQ(lfu.estimate(key), 0u);
-    for (int i = 0; i < 40; ++i) lfu.record(key);
-    EXPECT_EQ(lfu.estimate(key), 15u);  // 4-bit counters saturate
-    EXPECT_TRUE(lfu.admit(key, 1'000'000));
-    EXPECT_FALSE(lfu.admit(0x9999u, 11));  // stranger over the floor
-    EXPECT_TRUE(lfu.admit(0x9999u, 10));   // stranger at the floor
-    lfu.clear();
-    EXPECT_EQ(lfu.estimate(key), 0u);
-}
-
-TEST(CachePolicy, ParseAndNameRoundTrip) {
-    for (const char* name :
-         {"lru", "slru", "lru-tinylfu", "slru-tinylfu"}) {
-        auto cfg = parse_cache_policy(name);
-        ASSERT_TRUE(cfg.has_value()) << name;
-        EXPECT_EQ(cache_policy_name(*cfg), name);
-    }
-    EXPECT_FALSE(parse_cache_policy("fifo").has_value());
-    EXPECT_FALSE(parse_cache_policy("").has_value());
+    EXPECT_EQ(s.read_drains, 1u);
+    EXPECT_EQ(s.evictions, 1u);
+    EXPECT_TRUE(cache.contains("a", 1));
+    EXPECT_FALSE(cache.contains("b", 1));
+    EXPECT_TRUE(cache.contains("c", 1));
 }
 
 // ---- resource governor ----

@@ -335,8 +335,8 @@ const char* const kFrozenScalars[] = {
     "serve_coalescing_waiters",
     "cache_hits_total", "cache_misses_total", "cache_hit_bytes_total",
     "cache_insertions_total", "cache_evictions_total", "cache_rejected_total",
-    "cache_admission_rejected_total", "cache_peak_bytes", "cache_bytes",
-    "cache_entries", "cache_capacity_bytes", "cache_read_buffer_drops_total",
+    "cache_peak_bytes", "cache_bytes", "cache_entries",
+    "cache_capacity_bytes", "cache_read_buffer_drops_total",
     "cache_read_drains_total",
     "governor_budget_bytes", "governor_cache_bytes",
     "governor_resident_bytes", "governor_enforcements_total",

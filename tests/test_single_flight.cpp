@@ -2,8 +2,7 @@
 // behind it, driven by plain threads calling ContentServer directly:
 // concurrent cold requests for one response key run exactly one combine and
 // share the wire; warm traffic returns shared buffers without copies; and a
-// deterministic Zipf workload pins the LRU cache's hit behavior exactly
-// (the anchor for the ROADMAP cache-policy study).
+// deterministic Zipf workload pins the LRU cache's hit behavior exactly.
 
 #include <gtest/gtest.h>
 
@@ -314,15 +313,14 @@ TEST(ServeCache, ZipfTrafficHitRateIsExactAndDeterministic) {
     // Zipf(s=1.2) traffic over 32 client classes against a cache that holds
     // ~8 responses: the skewed head stays resident. Served in order,
     // alternating between two threads, from a seeded plan, so the hit count
-    // is exact (and covers cross-thread read buffers) — any
-    // cache-policy change must consciously update this anchor.
+    // is exact (and covers cross-thread read buffers) — any change to
+    // the cache's eviction order must consciously update this anchor.
     constexpr u32 kKeys = 32;
     constexpr int kRequests = 1200;
     const auto data = small_asset_bytes(60000, 41);
 
     // Shared traffic model (workload::zipf_plan): keys are parallelism
-    // classes 1..kKeys. Same generator as bench_serve's policy study, so
-    // the regression and the bench measure the same trace shape.
+    // classes 1..kKeys.
     const std::vector<u32> plan = workload::zipf_plan(kKeys, kRequests, 1.2,
                                                       2024);
 
@@ -376,140 +374,6 @@ TEST(ServeCache, ZipfTrafficHitRateIsExactAndDeterministic) {
     EXPECT_EQ(second.cache_hits, first.cache_hits);
     EXPECT_EQ(second.wire_bytes, first.wire_bytes);
     EXPECT_EQ(second.bytes_saved, first.bytes_saved);
-}
-
-struct PolicyRun {
-    u64 hits = 0;
-    u64 hit_bytes = 0;
-    u64 wire_bytes = 0;
-    u64 admission_rejected = 0;
-    double hit_rate = 0;
-    double byte_hit_rate = 0;
-};
-
-/// Drive a scan-polluted Zipf plan serially (alternating threads) against
-/// one cache policy: scan slots (workload::zipf_scan_slot — the schedule
-/// bench_serve's policy study shares) become unique, never-repeated range
-/// requests (one-hit wonders with distinct cache keys), the rest follow
-/// the Zipf class plan. Serial awaits keep cache state deterministic.
-PolicyRun run_policy(const CachePolicyConfig& policy, u64 capacity,
-                     const std::vector<u8>& data,
-                     const std::vector<u32>& plan) {
-    ServerOptions opt;
-    opt.cache_capacity_bytes = capacity;
-    opt.cache_policy = policy;
-    ContentServer server(opt);
-    server.store().encode_bytes("asset", data, 64);
-    const u64 symbols = data.size();
-    const u64 span = symbols / 4;
-    std::vector<ServeRequest> reqs;
-    for (std::size_t i = 0; i < plan.size(); ++i) {
-        ServeRequest req{"asset", plan[i], std::nullopt};
-        if (workload::zipf_scan_slot(i)) {
-            const u64 lo = workload::zipf_scan_lo(i, symbols, span);
-            req.parallelism = 1;
-            req.range = {{lo, lo + span}};
-        }
-        reqs.push_back(std::move(req));
-    }
-    for (const ServeResult& res : serve_alternating(server, reqs))
-        EXPECT_TRUE(res.ok()) << res.detail;
-    PolicyRun out;
-    const CacheStats c = server.cache().stats();
-    const auto t = server.totals();
-    out.hits = t.cache_hits;
-    out.hit_bytes = c.hit_bytes;
-    out.wire_bytes = t.wire_bytes;
-    out.admission_rejected = c.admission_rejected;
-    out.hit_rate = static_cast<double>(t.cache_hits) /
-                   static_cast<double>(plan.size());
-    out.byte_hit_rate = static_cast<double>(c.hit_bytes) /
-                        static_cast<double>(t.wire_bytes);
-    return out;
-}
-
-TEST(ServeCache, SlruZipfHitRateHoldsTheFloor) {
-    // The pure-Zipf harness above pins LRU exactly; SLRU on the same kind
-    // of traffic must hold the same hit-rate floor (the skewed head stays
-    // resident — promotion just changes who absorbs the tail misses).
-    const auto data = small_asset_bytes(60000, 41);
-    u64 wire_size = 0;
-    {
-        ContentServer probe;
-        probe.store().encode_bytes("asset", data, 64);
-        wire_size = probe.serve(ServeRequest{"asset", 1, std::nullopt})
-                        .stats.wire_bytes;
-    }
-    const u64 capacity = wire_size * 8 + wire_size / 2;
-    const auto plan = workload::zipf_plan(32, 900, 1.2, 2025);
-
-    ServerOptions opt;
-    opt.cache_capacity_bytes = capacity;
-    opt.cache_policy.eviction = EvictionKind::slru;
-    std::vector<ServeRequest> reqs;
-    for (const u32 key : plan)
-        reqs.push_back(ServeRequest{"asset", key, std::nullopt});
-    ContentServer server(opt);
-    server.store().encode_bytes("asset", data, 64);
-    for (const ServeResult& res : serve_alternating(server, reqs))
-        ASSERT_TRUE(res.ok()) << res.detail;
-    const double hit_rate =
-        static_cast<double>(server.totals().cache_hits) /
-        static_cast<double>(plan.size());
-    EXPECT_GE(hit_rate, 0.5) << "SLRU hit rate regressed: " << hit_rate;
-    EXPECT_LT(hit_rate, 1.0);
-
-    // Determinism: same plan, same policy, same hits.
-    ContentServer again(opt);
-    again.store().encode_bytes("asset", data, 64);
-    for (const ServeResult& res : serve_alternating(again, reqs))
-        ASSERT_TRUE(res.ok()) << res.detail;
-    EXPECT_EQ(again.totals().cache_hits, server.totals().cache_hits);
-}
-
-TEST(ServeCache, SlruWithTinyLfuBeatsLruUnderScanPollution) {
-    // The acceptance comparison: on Zipf traffic polluted with one-hit-
-    // wonder scans, segmented LRU + size-aware admission must beat plain
-    // LRU's byte-hit-rate. LRU admits every scan and evicts hot entries to
-    // hold them; SLRU confines scans to probation; TinyLFU refuses them
-    // outright (floor 1: nothing un-reused is worth caching).
-    const auto data = small_asset_bytes(60000, 41);
-    u64 wire_size = 0;
-    {
-        ContentServer probe;
-        probe.store().encode_bytes("asset", data, 64);
-        wire_size = probe.serve(ServeRequest{"asset", 1, std::nullopt})
-                        .stats.wire_bytes;
-    }
-    const u64 capacity = wire_size * 8 + wire_size / 2;
-    const auto plan = workload::zipf_plan(32, 1200, 1.2, 2024);
-
-    CachePolicyConfig lru;  // defaults
-    CachePolicyConfig gated;
-    gated.eviction = EvictionKind::slru;
-    gated.admission = AdmissionKind::tinylfu;
-    gated.tinylfu_small_floor = 1;
-
-    const PolicyRun base = run_policy(lru, capacity, data, plan);
-    const PolicyRun best = run_policy(gated, capacity, data, plan);
-
-    EXPECT_GT(best.byte_hit_rate, base.byte_hit_rate)
-        << "slru+tinylfu " << best.byte_hit_rate << " vs lru "
-        << base.byte_hit_rate;
-    EXPECT_GT(best.hits, base.hits);
-    EXPECT_GT(best.admission_rejected, 0u) << "the gate never fired";
-    EXPECT_EQ(base.admission_rejected, 0u);
-    // Absolute floor: with 1/3 of traffic unrepeatable, the gated policy
-    // still serves over a third of all bytes from cache.
-    EXPECT_GE(best.byte_hit_rate, 0.35);
-
-    // The admission gate alone (LRU eviction) must also improve on plain
-    // LRU: rejecting scans keeps the Zipf head resident.
-    CachePolicyConfig lru_gated;
-    lru_gated.admission = AdmissionKind::tinylfu;
-    lru_gated.tinylfu_small_floor = 1;
-    const PolicyRun gated_only = run_policy(lru_gated, capacity, data, plan);
-    EXPECT_GT(gated_only.byte_hit_rate, base.byte_hit_rate);
 }
 
 }  // namespace

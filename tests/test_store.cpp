@@ -71,7 +71,6 @@ TEST_F(StoreFixture, PutListLoadRemoveRoundTrip) {
 
     auto loaded = disk->load("a");
     ASSERT_TRUE(loaded.has_value());
-    EXPECT_TRUE(loaded->checksum_verified);
     EXPECT_TRUE(std::equal(container.begin(), container.end(),
                            loaded->map->bytes().begin(),
                            loaded->map->bytes().end()));
@@ -285,21 +284,15 @@ TEST_F(StoreFixture, BitFlippedContainerIsATypedError) {
     flip_bit(container);
 
     // Size is unchanged, so the store opens; the flip surfaces as a typed
-    // checksum failure at load — with or without manifest verification
-    // (the container's own trailing CRC32C backstops the latter).
-    for (const bool verify : {true, false}) {
+    // checksum failure at load, from the manifest CRC check.
+    {
         AssetStore store;
-        store.attach_backing(
-            std::make_shared<DiskStore>(dir, DiskStoreOptions{verify}));
+        store.attach_backing(std::make_shared<DiskStore>(dir));
         try {
             (void)store.resolve("a");
-            FAIL() << "corrupt container resolved (verify_on_load=" << verify
-                   << ")";
+            FAIL() << "corrupt container resolved";
         } catch (const StoreError& e) {
             EXPECT_EQ(e.status(), StoreStatus::bad_container);
-        } catch (const Error&) {
-            // verify_on_load=false: the container parser's own checksum
-            // raises; still a typed recoil::Error, never UB.
         }
     }
 

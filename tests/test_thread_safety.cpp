@@ -14,8 +14,8 @@
 //     while a pack of streamed followers park on the flight, so any
 //     post-publication write would be a follower-visible race.
 //
-//  3. MetadataCache::get buffers its policy touches per thread and drains
-//     them under try_lock of the policy mutex; every mutator drains first.
+//  3. MetadataCache::get buffers its recency touches per thread and drains
+//     them under try_lock of the recency mutex; every mutator drains first.
 //     This test mixes gets with every mutator across threads and checks the
 //     accounting once they quiesce, while a watcher checks that the
 //     governor-visible size never exceeds capacity.
@@ -168,80 +168,75 @@ TEST(ThreadSafety, ReadBufferedCacheMixesGetsWithMutators) {
     auto parallelism = [](u32 k) { return 1 + k % 2; };
     const std::string kDerived = "\nrange";
 
-    for (const char* policy : {"lru", "slru-tinylfu"}) {
-        SCOPED_TRACE(policy);
-        const auto cfg = parse_cache_policy(policy);
-        ASSERT_TRUE(cfg.has_value());
-        MetadataCache cache(kCapacity, *cfg);
-        std::atomic<u64> gets{0};
-        std::atomic<int> errors{0};
-        std::atomic<u64> over_capacity{0};
-        std::atomic<bool> done{false};
-        std::thread watcher([&] {
-            while (!done.load(std::memory_order_relaxed))
-                if (cache.current_bytes() > kCapacity)
-                    over_capacity.fetch_add(1, std::memory_order_relaxed);
-        });
-        std::vector<std::thread> threads;
-        for (int t = 0; t < kThreads; ++t)
-            threads.emplace_back([&, t] {
-                Xoshiro256 rng(1000 + t);
-                u64 issued = 0;
-                for (int i = 0; i < kOps; ++i) {
-                    const u32 op = static_cast<u32>(rng() % 100);
-                    const u32 k = static_cast<u32>(rng() % kKeys);
-                    try {
-                        if (op < 70) {
-                            ++issued;
-                            cache.get(name(k), parallelism(k));
-                        } else if (op < 85) {
-                            cache.put(name(k), parallelism(k), wires[k], k);
-                        } else if (op < 92) {
-                            cache.put(name(k) + kDerived, 0, wires[k]);
-                        } else if (op < 96) {
-                            cache.erase_asset(name(k));
-                        } else if (op < 99) {
-                            cache.shrink_to(kCapacity / 2);
-                        } else {
-                            cache.clear();
-                        }
-                    } catch (const std::exception&) {
-                        // e.g. "touch of untracked entry" from a policy
-                        errors.fetch_add(1, std::memory_order_relaxed);
+    MetadataCache cache(kCapacity);
+    std::atomic<u64> gets{0};
+    std::atomic<int> errors{0};
+    std::atomic<u64> over_capacity{0};
+    std::atomic<bool> done{false};
+    std::thread watcher([&] {
+        while (!done.load(std::memory_order_relaxed))
+            if (cache.current_bytes() > kCapacity)
+                over_capacity.fetch_add(1, std::memory_order_relaxed);
+    });
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            Xoshiro256 rng(1000 + t);
+            u64 issued = 0;
+            for (int i = 0; i < kOps; ++i) {
+                const u32 op = static_cast<u32>(rng() % 100);
+                const u32 k = static_cast<u32>(rng() % kKeys);
+                try {
+                    if (op < 70) {
+                        ++issued;
+                        cache.get(name(k), parallelism(k));
+                    } else if (op < 85) {
+                        cache.put(name(k), parallelism(k), wires[k], k);
+                    } else if (op < 92) {
+                        cache.put(name(k) + kDerived, 0, wires[k]);
+                    } else if (op < 96) {
+                        cache.erase_asset(name(k));
+                    } else if (op < 99) {
+                        cache.shrink_to(kCapacity / 2);
+                    } else {
+                        cache.clear();
                     }
+                } catch (const std::exception&) {
+                    // e.g. "cache: unknown entry id"
+                    errors.fetch_add(1, std::memory_order_relaxed);
                 }
-                gets.fetch_add(issued, std::memory_order_relaxed);
-            });
-        for (auto& th : threads) th.join();
-        done.store(true, std::memory_order_relaxed);
-        watcher.join();
+            }
+            gets.fetch_add(issued, std::memory_order_relaxed);
+        });
+    for (auto& th : threads) th.join();
+    done.store(true, std::memory_order_relaxed);
+    watcher.join();
 
-        EXPECT_EQ(errors.load(), 0);
-        EXPECT_EQ(over_capacity.load(), 0u);
-        const CacheStats s = cache.stats();
-        EXPECT_EQ(s.hits + s.misses, gets.load());
-        u64 bytes = 0;
-        u64 entries = 0;
-        for (u32 k = 0; k < kKeys; ++k) {
-            if (cache.contains(name(k), parallelism(k))) {
-                bytes += wires[k]->size();
-                ++entries;
-            }
-            if (cache.contains(name(k) + kDerived, 0)) {
-                bytes += wires[k]->size();
-                ++entries;
-            }
+    EXPECT_EQ(errors.load(), 0);
+    EXPECT_EQ(over_capacity.load(), 0u);
+    const CacheStats s = cache.stats();
+    EXPECT_EQ(s.hits + s.misses, gets.load());
+    u64 bytes = 0;
+    u64 entries = 0;
+    for (u32 k = 0; k < kKeys; ++k) {
+        if (cache.contains(name(k), parallelism(k))) {
+            bytes += wires[k]->size();
+            ++entries;
         }
-        EXPECT_EQ(s.bytes, bytes);
-        EXPECT_EQ(s.entries, entries);
-        EXPECT_LE(s.bytes, kCapacity);
-        EXPECT_EQ(cache.current_bytes(), s.bytes);
-        // The policy tracks exactly the resident entries: shrinking to
-        // nothing finds a victim for every one of them.
-        cache.shrink_to(0);
-        EXPECT_EQ(cache.stats().entries, 0u);
-        EXPECT_EQ(cache.current_bytes(), 0u);
+        if (cache.contains(name(k) + kDerived, 0)) {
+            bytes += wires[k]->size();
+            ++entries;
+        }
     }
+    EXPECT_EQ(s.bytes, bytes);
+    EXPECT_EQ(s.entries, entries);
+    EXPECT_LE(s.bytes, kCapacity);
+    EXPECT_EQ(cache.current_bytes(), s.bytes);
+    // The recency list tracks exactly the resident entries: shrinking to
+    // nothing finds a victim for every one of them.
+    cache.shrink_to(0);
+    EXPECT_EQ(cache.stats().entries, 0u);
+    EXPECT_EQ(cache.current_bytes(), 0u);
 }
 
 }  // namespace
