@@ -12,7 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <sys/resource.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
@@ -316,6 +319,88 @@ TEST_F(NetFixture, SlowReaderKeepsConnBufferAtMaxFrame) {
     const u64 peak = runner.daemon.stats().conn_buffer_peak_bytes;
     EXPECT_LE(peak, kMaxFrame + 4096);
     EXPECT_LT(peak, v1.wire->size() / 4);
+}
+
+/// The listening socket bound to `port` in this process, or -1. Accepted
+/// sockets inherit the listener's buffer sizes, so a test can shrink the
+/// daemon's send buffer without a daemon option.
+int listener_fd(u16 port) {
+    for (int fd = 3; fd < 4096; ++fd) {
+        int listening = 0;
+        socklen_t len = sizeof(listening);
+        if (::getsockopt(fd, SOL_SOCKET, SO_ACCEPTCONN, &listening, &len) != 0 ||
+            listening == 0)
+            continue;
+        struct sockaddr_in sa {};
+        socklen_t slen = sizeof(sa);
+        if (::getsockname(fd, reinterpret_cast<struct sockaddr*>(&sa), &slen) == 0 &&
+            sa.sin_family == AF_INET && ntohs(sa.sin_port) == port)
+            return fd;
+    }
+    return -1;
+}
+
+/// The daemon-side socket of the connection whose client end is `client`.
+int accepted_fd_for(int client) {
+    struct sockaddr_in local {};
+    socklen_t llen = sizeof(local);
+    if (::getsockname(client, reinterpret_cast<struct sockaddr*>(&local), &llen) != 0)
+        return -1;
+    for (int fd = 3; fd < 4096; ++fd) {
+        if (fd == client) continue;
+        struct sockaddr_in peer {};
+        socklen_t plen = sizeof(peer);
+        if (::getpeername(fd, reinterpret_cast<struct sockaddr*>(&peer), &plen) == 0 &&
+            peer.sin_family == AF_INET && peer.sin_port == local.sin_port &&
+            peer.sin_addr.s_addr == local.sin_addr.s_addr)
+            return fd;
+    }
+    return -1;
+}
+
+TEST_F(NetFixture, TinySendBufferSplitsSliceBoundariesBitExact) {
+    // A send buffer of a few KiB makes every large write partial, so the
+    // daemon's output cursor stops inside a wire slice, inside a header or
+    // trailer, and exactly on slice boundaries. v1, range and v2 responses
+    // must still arrive bit-exact.
+    DaemonOptions dopt;
+    dopt.stream.max_frame_bytes = 1500;  // body frames straddle pieces
+    DaemonRunner runner(server, dopt);
+    const int lfd = listener_fd(runner.daemon.port());
+    ASSERT_GE(lfd, 0);
+    const int small = 4096;
+    ASSERT_EQ(::setsockopt(lfd, SOL_SOCKET, SO_SNDBUF, &small, sizeof(small)), 0);
+
+    ClientOptions copt;
+    copt.port = runner.daemon.port();
+    Client client(copt);
+    int afd = -1;  // the daemon accepts on its own thread: wait for it
+    for (int i = 0; i < 2000 && afd < 0; ++i) {
+        afd = accepted_fd_for(client.fd());
+        if (afd < 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_GE(afd, 0);
+    int sndbuf = 0;
+    socklen_t len = sizeof(sndbuf);
+    ASSERT_EQ(::getsockopt(afd, SOL_SOCKET, SO_SNDBUF, &sndbuf, &len), 0);
+    EXPECT_LE(sndbuf, 16 * 1024) << "the accepted socket did not inherit the buffer";
+
+    for (u32 p : {1u, 8u, 64u}) {
+        const ServeRequest req{"asset", p, {}};
+        const auto want = in_process(req);
+        ASSERT_GT(want.wire->size(), 10u * static_cast<u64>(sndbuf));
+        const auto v1 = client.request(req);
+        ASSERT_TRUE(v1.ok()) << v1.detail;
+        EXPECT_EQ(*v1.wire, *want.wire) << "v1 at " << p;
+        const auto v2 = client.request_streamed(req);
+        ASSERT_TRUE(v2.ok()) << v2.detail;
+        EXPECT_EQ(*v2.wire, *want.wire) << "v2 at " << p;
+    }
+    const ServeRequest range{"asset", 4, {{1'000, 150'000}}};
+    const auto want = in_process(range);
+    const auto got = client.request(range);
+    ASSERT_TRUE(got.ok()) << got.detail;
+    EXPECT_EQ(*got.wire, *want.wire);
 }
 
 // ---- graceful drain ----

@@ -193,6 +193,68 @@ TEST(Protocol, ResealedHostileFramesStillRejected) {
         ProtocolError);
 }
 
+/// Length and CRC32C of one frame's bytes before its trailer: the pin a
+/// wire-format change must trip. (The CRC of a whole sealed frame is the
+/// same constant for every frame, so it would pin nothing.)
+struct FramePin {
+    std::size_t size;
+    u32 crc;
+};
+
+FramePin pin_of(std::span<const u8> frame) {
+    return {frame.size(), format::crc32c(frame.first(frame.size() - 8))};
+}
+
+void expect_pin(std::span<const u8> frame, FramePin want, const char* what) {
+    const FramePin got = pin_of(frame);
+    EXPECT_EQ(got.size, want.size) << what;
+    EXPECT_EQ(got.crc, want.crc)
+        << what << ": crc 0x" << std::hex << got.crc;
+}
+
+TEST(Protocol, FrameBytesArePinned) {
+    // A fixed response, framed as v1 and as a v2 header/body/FIN sequence.
+    // The constants were computed by the frame encoders before the
+    // scatter-gather frame builder existed; any byte the builder moves
+    // changes a CRC here.
+    std::vector<u8> payload(3000);
+    for (std::size_t i = 0; i < payload.size(); ++i)
+        payload[i] = static_cast<u8>(i * 131 + 7);
+    ServeResult res;
+    res.code = ErrorCode::ok;
+    res.payload = PayloadKind::file;
+    res.wire = std::make_shared<const std::vector<u8>>(payload);
+    res.stats.splits_served = 17;
+    res.stats.cache_hit = true;
+    expect_pin(encode_response(res), {3033, 0x03b06275u}, "v1 ok response");
+
+    ServeResult err;
+    err.code = ErrorCode::invalid_range;
+    err.detail = "serve: range [9, 5) outside asset of 100 symbols";
+    expect_pin(encode_response(err), {81, 0xe77b32cfu}, "v1 error response");
+
+    StreamHeader h;
+    h.code = ErrorCode::ok;
+    h.payload = PayloadKind::file;
+    h.cache_hit = true;
+    h.splits = 17;
+    h.wire_bytes = payload.size();
+    h.max_frame_bytes = 1024;
+    expect_pin(encode_stream_header(h), {43, 0xd4448fc7u}, "v2 header");
+    const std::span<const u8> all(payload);
+    expect_pin(encode_stream_body(0, all.subspan(0, 1024), 1024),
+               {1051, 0x0e67acaau}, "v2 body 0");
+    expect_pin(encode_stream_body(1, all.subspan(1024, 1024), 1024),
+               {1051, 0x9ed5cc10u}, "v2 body 1");
+    expect_pin(encode_stream_body(2, all.subspan(2048), 1024),
+               {979, 0x4ba6e6e9u}, "v2 body 2");
+    StreamFin fin;
+    fin.body_frames = 3;
+    fin.splits = 17;
+    fin.wire_checksum = format::crc32c(payload);
+    expect_pin(encode_stream_fin(fin), {37, 0xc9e8484fu}, "v2 FIN");
+}
+
 TEST(Protocol, ServeFrameSpeaksTheProtocolEndToEnd) {
     ContentServer server;
     auto data = test::geometric_symbols<u8>(50000, 0.6, 256, 21);
