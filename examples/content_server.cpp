@@ -121,6 +121,9 @@ int main(int argc, char** argv) {
                 return 2;
             }
             trace_log = argv[++i];
+        } else {
+            std::fprintf(stderr, "unknown flag '%s'\n", argv[i]);
+            return 2;
         }
     }
 

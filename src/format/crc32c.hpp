@@ -6,10 +6,19 @@
 //
 // The API is zlib-style incremental: the state is the CRC of the bytes seen
 // so far (0 for none), so crc32c(b, crc32c(a)) == crc32c(a ‖ b) and a wire
-// can be hashed piece by piece as it is produced. The kernel is picked once
-// per process by CPUID: the SSE4.2 `crc32` instruction over 8-byte words
-// when the CPU has it, a slicing-by-8 table loop otherwise.
+// can be hashed piece by piece as it is produced. crc32c_combine() joins two
+// CRCs computed independently (zlib's crc32_combine technique: CRC32C is
+// linear, so crc(a ‖ b) = crc(a)·x^(8|b|) mod P ⊕ crc(b)), which lets a
+// frame's trailer be derived from its parts' CRCs without re-reading them.
+//
+// The kernel is picked once per process by CPUID. With SSE4.2 and PCLMUL it
+// runs three independent `crc32` chains over fixed blocks (the instruction
+// has a 3-cycle latency and 1-cycle throughput, so one chain leaves two
+// thirds of it idle) and merges them with one carry-less multiply per
+// chain; the tail runs on one chain. With SSE4.2 alone it is that one
+// chain throughout, and otherwise a slicing-by-8 table loop.
 
+#include <cstddef>
 #include <span>
 
 #include "util/ints.hpp"
@@ -20,12 +29,25 @@ namespace recoil::format {
 /// before them; 0 starts a fresh checksum).
 u32 crc32c(std::span<const u8> bytes, u32 state = 0);
 
+/// CRC32C of a ‖ b from crc_a = crc32c(a), crc_b = crc32c(b) and |b|, in
+/// O(log len_b) time without reading either.
+u32 crc32c_combine(u32 crc_a, u32 crc_b, u64 len_b);
+
 namespace detail {
 
-/// The two kernels behind crc32c(), exposed so tests can hold them against
-/// each other. crc32c_hw requires SSE4.2 (cpu_features().sse42).
+/// Bytes each of crc32c_hw's three chains covers per round: long rounds
+/// first, then short ones, then one chain to the end.
+inline constexpr std::size_t kCrc32cLongBlock = 4096;
+inline constexpr std::size_t kCrc32cShortBlock = 256;
+
+/// The kernels behind crc32c() and crc32c_combine(), exposed so tests can
+/// hold them against each other. crc32c_hw requires SSE4.2
+/// (cpu_features().sse42) and runs its three chains only with PCLMUL;
+/// crc32c_combine_hw requires both.
 u32 crc32c_hw(std::span<const u8> bytes, u32 state);
 u32 crc32c_table(std::span<const u8> bytes, u32 state);
+u32 crc32c_combine_hw(u32 crc_a, u32 crc_b, u64 len_b);
+u32 crc32c_combine_table(u32 crc_a, u32 crc_b, u64 len_b);
 
 }  // namespace detail
 }  // namespace recoil::format

@@ -223,6 +223,19 @@ inline std::span<const u8> checked_payload(std::span<const u8> bytes,
     return payload;
 }
 
+/// CRC32C of a whole sealed wire (payload ‖ its 8-byte trailer) in O(1):
+/// the trailer holds crc(payload), so crc(wire) is the CRC of the trailer's
+/// own 8 bytes continued from that value. Trusts the trailer — for wires
+/// this process sealed itself; a received wire is checked by
+/// checked_payload() instead.
+inline u32 sealed_wire_crc(std::span<const u8> wire) {
+    RECOIL_CHECK(wire.size() >= 8, "sealed wire shorter than its trailer");
+    const auto t = wire.last(8);
+    const u32 payload_crc = u32{t[0]} | (u32{t[1]} << 8) | (u32{t[2]} << 16) |
+                            (u32{t[3]} << 24);
+    return crc32c(t, payload_crc);
+}
+
 /// Pad marker so the u16 unit payload that follows starts at an even offset
 /// within the serialized buffer: a one-byte pad count (0 or 1) followed by
 /// that many zero bytes. With the container file mapped at a page-aligned

@@ -24,15 +24,16 @@ Client::Client(ClientOptions opt)
 std::vector<u8> Client::read_frame(Deadline deadline) {
     for (;;) {
         if (auto frame = reader_.next()) return std::move(*frame);
-        u8 buf[64 * 1024];
-        std::size_t n = recv_some(fd_.get(), buf, deadline);
+        // Receive straight into the frame's own buffer: the kernel's copy
+        // is the only one until the protocol layer takes the payload.
+        const std::size_t n = recv_some(fd_.get(), reader_.recv_window(), deadline);
         if (n == 0) {
             net_fail(NetErrorCode::closed,
                      reader_.empty()
                          ? "server closed the connection"
                          : "server closed the connection mid-frame");
         }
-        reader_.feed(std::span<const u8>(buf, n));
+        reader_.commit(n);
     }
 }
 

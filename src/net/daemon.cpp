@@ -21,7 +21,10 @@
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
+
+#include <climits>
 #endif
 
 namespace recoil::net {
@@ -60,16 +63,20 @@ struct Daemon::AtomicStats {
 
 namespace detail {
 
-/// Per-connection state machine. Owned memory is the outbound buffer (at
-/// most one transport-framed response/stream frame), the FrameReader's
-/// partial inbound frame, and queued complete request frames — each piece
-/// individually bounded, and reads stop while any response is in flight,
-/// so the total stays O(max_frame).
+/// Per-connection state machine. Owned memory is the owned slices of the
+/// outbound queue (at most one transport-framed response/stream frame: its
+/// prefix, header and trailer, plus structural pieces a cold stream frame
+/// carries), the FrameReader's partial inbound frame, and queued complete
+/// request frames — each piece individually bounded, and reads stop while
+/// any response is in flight, so the total stays O(max_frame). Payload
+/// slices borrow a cached wire or an asset's storage, which their keepers
+/// hold alive until sent; they are not the connection's memory.
 struct Conn {
     Fd fd;
     FrameReader reader;
-    std::vector<u8> out;
-    std::size_t out_off = 0;
+    std::deque<format::ByteBuffer> out;  ///< unsent slices, in wire order
+    std::size_t out_off = 0;  ///< bytes of out.front() already sent
+    u64 out_owned = 0;        ///< unsent bytes of owned slices in `out`
     std::deque<std::vector<u8>> pending;
     std::size_t pending_bytes = 0;
     std::optional<serve::ServeStream> stream;
@@ -86,13 +93,40 @@ struct Conn {
           reader(max_frame),
           last_activity(std::chrono::steady_clock::now()) {}
 
-    bool out_pending() const noexcept { return out_off < out.size(); }
+    bool out_pending() const noexcept { return !out.empty(); }
     bool quiesced() const noexcept {
         return !out_pending() && !stream && pending.empty();
     }
     u64 owned_bytes() const noexcept {
-        return static_cast<u64>(out.size() - out_off) +
-               reader.buffered_bytes() + pending_bytes;
+        return out_owned + reader.buffered_bytes() + pending_bytes;
+    }
+
+    /// Queue one protocol frame behind its transport prefix (an owned
+    /// slice). Throws NetError{frame_too_large} past the transport cap.
+    void queue_frame(serve::FrameSlices frame) {
+        const auto prefix = net_prefix(frame.size());
+        out.emplace_back(std::vector<u8>(prefix.begin(), prefix.end()));
+        out_owned += prefix.size();
+        for (format::ByteBuffer& s : frame.slices) {
+            if (s.empty()) continue;
+            if (!s.borrowed()) out_owned += s.size();
+            out.push_back(std::move(s));
+        }
+    }
+
+    /// Drop `n` just-sent bytes off the front of the queue.
+    void advance_out(std::size_t n) {
+        while (n > 0) {
+            const format::ByteBuffer& front = out.front();
+            const std::size_t k = std::min(n, front.size() - out_off);
+            if (!front.borrowed()) out_owned -= k;
+            out_off += k;
+            n -= k;
+            if (out_off == front.size()) {
+                out.pop_front();
+                out_off = 0;
+            }
+        }
     }
 };
 
@@ -140,6 +174,10 @@ using detail::Loop;
 namespace {
 
 constexpr std::size_t kReadChunk = 64 * 1024;
+/// Slices gathered into one sendmsg(). A frame is a handful of slices (more
+/// when a stream frame packs many small structural pieces); a longer queue
+/// leaves over several calls.
+constexpr std::size_t kMaxIov = IOV_MAX < 64 ? IOV_MAX : 64;
 /// Queued-but-undispatched request frames per connection before the loop
 /// stops reading (pipelining bound; reads resume as the queue drains).
 constexpr std::size_t kMaxPendingRequests = 64;
@@ -441,15 +479,23 @@ void Daemon::close_conn(Loop& lp, int fd) {
 
 bool Daemon::flush_out(Loop& lp, Conn& c) {
     while (c.out_pending() && c.writable) {
-        ssize_t n = ::send(c.fd.get(), c.out.data() + c.out_off,
-                           c.out.size() - c.out_off, MSG_NOSIGNAL);
+        // One gathered write over the queued slices: the header, the
+        // borrowed wire and the trailer leave without being joined.
+        std::array<struct iovec, kMaxIov> iov{};
+        std::size_t n_iov = 0;
+        for (auto it = c.out.begin(); it != c.out.end() && n_iov < iov.size();
+             ++it, ++n_iov) {
+            const std::size_t skip = n_iov == 0 ? c.out_off : 0;
+            iov[n_iov].iov_base = const_cast<u8*>(it->data() + skip);
+            iov[n_iov].iov_len = it->size() - skip;
+        }
+        struct msghdr msg {};
+        msg.msg_iov = iov.data();
+        msg.msg_iovlen = n_iov;
+        ssize_t n = ::sendmsg(c.fd.get(), &msg, MSG_NOSIGNAL);
         if (n > 0) {
-            c.out_off += static_cast<std::size_t>(n);
+            c.advance_out(static_cast<std::size_t>(n));
             c.last_activity = std::chrono::steady_clock::now();
-            if (!c.out_pending()) {
-                c.out.clear();
-                c.out_off = 0;
-            }
             continue;
         }
         if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
@@ -531,8 +577,7 @@ void Daemon::dispatch(Loop& lp, Conn& c, std::vector<u8> frame) {
             // typed error frame the client expects
         }
     }
-    std::vector<u8> resp = server_.serve_frame(frame);
-    append_net_frame(c.out, resp);
+    c.queue_frame(server_.serve_frame_slices(frame));
     stats_->note_peak_buffer(c.owned_bytes());
 }
 
@@ -542,7 +587,7 @@ void Daemon::pump_output(Loop& lp, Conn& c) {
     // frame is not even built until the previous one fully flushed).
     while (!c.out_pending()) {
         if (c.stream) {
-            auto frame = c.stream->next_frame();
+            auto frame = c.stream->next_frame_slices();
             if (frame) {
                 c.stream_out_bytes += frame->size();
                 if (opt_.debug_kill_stream_after_bytes != 0 &&
@@ -554,7 +599,7 @@ void Daemon::pump_output(Loop& lp, Conn& c) {
                     // connection mid-stream (once per daemon).
                     c.kill_after_flush = true;
                 }
-                append_net_frame(c.out, *frame);
+                c.queue_frame(std::move(*frame));
                 stats_->note_peak_buffer(c.owned_bytes());
                 return;
             }

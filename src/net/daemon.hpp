@@ -11,12 +11,15 @@
 //   - per-connection state machine: a FrameReader reassembles request
 //     frames from arbitrary partial reads; complete frames queue and are
 //     dispatched one at a time (pipelining works, ordering is preserved).
-//     v1 requests go through serve_frame() (which also answers
+//     v1 requests go through serve_frame_slices() (which also answers
 //     "!metrics"); requests with kAcceptStreamed become a ServeStream.
+//     Responses queue as slices — owned transport prefix, header and
+//     trailer around a borrowed view of the cached wire or the stream's
+//     pieces — and leave through sendmsg() without being joined.
 //     serve_stream() produces the whole response on the loop thread when
 //     the request is dispatched (exactly as a cold serve_frame() combines
-//     there), so next_frame() never blocks; frames are pulled ONLY when
-//     the outbound buffer has fully flushed — the socket's writability is
+//     there), so next_frame_slices() never blocks; frames are pulled ONLY
+//     when the outbound queue has fully flushed — the socket's writability is
 //     the backpressure, so per-connection owned memory stays O(max_frame)
 //     regardless of asset size or reader speed.
 //   - level-triggered epoll: the interest mask stays in sync with what
@@ -131,9 +134,10 @@ public:
         u64 drains = 0;
         u64 connections = 0;       ///< currently open (all loops)
         u64 peak_connections = 0;
-        /// High-water mark of one connection's owned bytes (outbound
-        /// buffer + reader buffer + queued request frames) — the number
-        /// the slow-reader test holds against O(max_frame).
+        /// High-water mark of one connection's owned bytes (owned outbound
+        /// slices + reader buffer + queued request frames; borrowed payload
+        /// views are the cache's) — the number the slow-reader test holds
+        /// against O(max_frame).
         u64 conn_buffer_peak_bytes = 0;
         u64 loops = 0;            ///< event-loop thread count
         u64 loop_wakeups = 0;     ///< epoll_wait returns across loops

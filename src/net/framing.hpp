@@ -11,12 +11,15 @@
 //     [len u32 LE][protocol frame, exactly `len` bytes]
 //
 // FrameReader reassembles these incrementally. It is deliberately dumb:
-// feed() appends whatever bytes arrived (one byte at a time is fine — a
-// TCP segment boundary mid-header must never surface as bad_frame), and
+// feed() takes whatever bytes arrived (one byte at a time is fine — a TCP
+// segment boundary mid-header must never surface as bad_frame), or a
+// caller receives straight into recv_window() and commit()s the count;
 // next() pops a complete protocol frame when one is buffered. Length
 // bounds are enforced as soon as the 4-byte prefix is complete so a
 // malicious peer cannot make us buffer unbounded garbage.
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 #include <deque>
 #include <optional>
@@ -34,71 +37,124 @@ namespace recoil::net {
 /// absurdity, not normal big assets.
 inline constexpr u32 kMaxTransportFrame = 256u * 1024 * 1024;
 
+/// The u32 LE length prefix of a `frame_size`-byte frame. Throws
+/// NetError{frame_too_large} for a frame over the transport cap.
+inline std::array<u8, 4> net_prefix(u64 frame_size) {
+    if (frame_size > kMaxTransportFrame)
+        net_fail(NetErrorCode::frame_too_large,
+                 "outbound frame of " + std::to_string(frame_size) +
+                     " bytes exceeds transport cap");
+    const u32 len = static_cast<u32>(frame_size);
+    return {static_cast<u8>(len & 0xff), static_cast<u8>((len >> 8) & 0xff),
+            static_cast<u8>((len >> 16) & 0xff), static_cast<u8>((len >> 24) & 0xff)};
+}
+
 /// Append `frame` to `out` with the u32 LE length prefix.
 inline void append_net_frame(std::vector<u8>& out, std::span<const u8> frame) {
-    if (frame.size() > kMaxTransportFrame)
-        net_fail(NetErrorCode::frame_too_large,
-                 "outbound frame of " + std::to_string(frame.size()) +
-                     " bytes exceeds transport cap");
-    const u32 len = static_cast<u32>(frame.size());
-    u8 prefix[4] = {static_cast<u8>(len & 0xff), static_cast<u8>((len >> 8) & 0xff),
-                    static_cast<u8>((len >> 16) & 0xff),
-                    static_cast<u8>((len >> 24) & 0xff)};
-    out.insert(out.end(), prefix, prefix + 4);
+    const auto prefix = net_prefix(frame.size());
+    out.insert(out.end(), prefix.begin(), prefix.end());
     out.insert(out.end(), frame.begin(), frame.end());
 }
 
-/// Incremental reassembler for length-prefixed frames. Owned memory is
-/// bounded by max_frame + one read's worth of slack: feed() rejects a
-/// frame the moment its announced length exceeds the cap.
+/// Incremental reassembler for length-prefixed frames. Each frame is
+/// received into a buffer of its own, sized from its prefix, and handed out
+/// by move: a caller that receives straight into recv_window() copies no
+/// byte itself. The buffer grows (within one up-front reservation) as bytes
+/// arrive, so a prefix announcing a large frame costs address space, not
+/// memory, until the bytes come. feed() rejects a frame the moment its
+/// announced length exceeds the cap.
 class FrameReader {
 public:
     explicit FrameReader(u32 max_frame = kMaxTransportFrame)
         : max_frame_(max_frame) {}
 
-    /// Buffer newly arrived bytes. Any split is legal, including
-    /// mid-length-prefix. Throws NetError{frame_too_large} as soon as a
-    /// complete prefix announces a frame above the cap.
+    /// Where the next received bytes belong: the rest of the length prefix,
+    /// or a stretch of the announced frame not yet filled. Never empty.
+    std::span<u8> recv_window() {
+        if (prefix_fill_ < 4) return std::span<u8>(prefix_).subspan(prefix_fill_);
+        if (frame_fill_ == frame_.size()) {
+            // Expose more of the frame, never past the announced length: as
+            // much as has arrived, between kMinWindow and kMaxWindow. A
+            // window that stays in cache keeps the zero-fill of the fresh
+            // stretch cheap just before the kernel writes over it.
+            const std::size_t grow = std::clamp(frame_fill_, kMinWindow, kMaxWindow);
+            frame_.resize(std::min<std::size_t>(len_, frame_fill_ + grow));
+        }
+        return std::span<u8>(frame_).subspan(frame_fill_);
+    }
+
+    /// Account for `n` bytes just written at the start of recv_window().
+    /// Throws NetError{frame_too_large} as soon as a completed prefix
+    /// announces a frame above the cap.
+    void commit(std::size_t n) {
+        if (prefix_fill_ < 4) {
+            prefix_fill_ += n;
+            if (prefix_fill_ < 4) return;
+            len_ = static_cast<u32>(prefix_[0]) | (static_cast<u32>(prefix_[1]) << 8) |
+                   (static_cast<u32>(prefix_[2]) << 16) |
+                   (static_cast<u32>(prefix_[3]) << 24);
+            if (len_ > max_frame_)
+                net_fail(NetErrorCode::frame_too_large,
+                         "inbound frame announces " + std::to_string(len_) +
+                             " bytes, cap is " + std::to_string(max_frame_));
+            frame_.reserve(len_);
+        } else {
+            frame_fill_ += n;
+        }
+        if (frame_fill_ < len_) return;
+        ready_bytes_ += len_;
+        ready_.push_back(std::move(frame_));
+        frame_ = std::vector<u8>();
+        prefix_fill_ = 0;
+        frame_fill_ = 0;
+        len_ = 0;
+    }
+
+    /// Buffer newly arrived bytes, copying them into place. Any split is
+    /// legal, including mid-length-prefix.
     void feed(std::span<const u8> bytes) {
-        buf_.insert(buf_.end(), bytes.begin(), bytes.end());
-        check_bound();
+        while (!bytes.empty()) {
+            const std::span<u8> w = recv_window();
+            const std::size_t n = std::min(w.size(), bytes.size());
+            std::memcpy(w.data(), bytes.data(), n);
+            commit(n);
+            bytes = bytes.subspan(n);
+        }
     }
 
     /// Pop the next complete protocol frame (without the prefix), or
     /// nullopt if more bytes are needed.
     std::optional<std::vector<u8>> next() {
-        if (buf_.size() < 4) return std::nullopt;
-        const u32 len = peek_len();
-        if (buf_.size() < 4u + len) return std::nullopt;
-        std::vector<u8> frame(buf_.begin() + 4, buf_.begin() + 4 + len);
-        buf_.erase(buf_.begin(), buf_.begin() + 4 + len);
+        if (ready_.empty()) return std::nullopt;
+        std::vector<u8> frame = std::move(ready_.front());
+        ready_.pop_front();
+        ready_bytes_ -= frame.size();
         return frame;
     }
 
-    /// True if no partial frame is buffered (clean stream boundary —
-    /// used to distinguish orderly EOF from a truncated frame).
-    bool empty() const noexcept { return buf_.empty(); }
+    /// True if nothing is buffered — no partial frame and no complete one
+    /// waiting (a clean stream boundary, used to tell an orderly EOF from a
+    /// truncated frame).
+    bool empty() const noexcept { return prefix_fill_ == 0 && ready_.empty(); }
 
-    /// Bytes currently buffered (prefix included), for memory accounting.
-    std::size_t buffered_bytes() const noexcept { return buf_.size(); }
+    /// Bytes received and not yet popped (prefixes of partial frames
+    /// included), for memory accounting.
+    std::size_t buffered_bytes() const noexcept {
+        return prefix_fill_ + frame_fill_ + ready_bytes_;
+    }
 
 private:
-    u32 peek_len() const {
-        return static_cast<u32>(buf_[0]) | (static_cast<u32>(buf_[1]) << 8) |
-               (static_cast<u32>(buf_[2]) << 16) | (static_cast<u32>(buf_[3]) << 24);
-    }
-
-    void check_bound() const {
-        if (buf_.size() < 4) return;
-        const u32 len = peek_len();
-        if (len > max_frame_)
-            net_fail(NetErrorCode::frame_too_large,
-                     "inbound frame announces " + std::to_string(len) +
-                         " bytes, cap is " + std::to_string(max_frame_));
-    }
+    static constexpr std::size_t kMinWindow = 64 * 1024;
+    static constexpr std::size_t kMaxWindow = 256 * 1024;
 
     u32 max_frame_;
-    std::vector<u8> buf_;
+    std::array<u8, 4> prefix_{};
+    std::size_t prefix_fill_ = 0;
+    u32 len_ = 0;                ///< announced length of the frame in progress
+    std::vector<u8> frame_;      ///< the frame in progress, sized as exposed
+    std::size_t frame_fill_ = 0;
+    std::deque<std::vector<u8>> ready_;  ///< complete frames, in order
+    std::size_t ready_bytes_ = 0;
 };
 
 }  // namespace recoil::net

@@ -23,23 +23,103 @@ constexpr u8 kResponseFlagCoalesced = 2;
 /// negotiated payload ceiling when judging a whole frame's size.
 constexpr u64 kStreamBodyOverhead = 4 + 1 + 1 + 1 + 4 + 8 + 8;
 
+/// Most a reassembler reserves up front from a header's announced wire
+/// size; a larger announcement grows with the bytes that actually arrive.
+constexpr u64 kMaxReserveBytes = u64{64} << 20;
+
 [[noreturn]] void fail(ErrorCode code, const std::string& what) {
     throw ProtocolError(code, what);
 }
 
+/// Bytes of a v1 response before its wire, less the detail text: magic,
+/// version, code, kind, flags, splits, detail length, wire length.
+constexpr u64 kResponseHeadBytes = 4 + 1 + 2 + 1 + 1 + 4 + 4 + 8;
+
+/// Little-endian unsigned of `width` bytes at the start of `b`.
+u64 read_le(std::span<const u8> b, int width) {
+    u64 v = 0;
+    for (int i = 0; i < width; ++i) v |= u64{b[static_cast<std::size_t>(i)]} << (8 * i);
+    return v;
+}
+
+/// The bytes a frame's trailer covers, and their CRC32C.
+struct Verified {
+    std::span<const u8> covered;
+    u32 crc = 0;
+};
+
+/// Append `src` to `dst` and return its CRC32C continued from `state`, in
+/// one pass over memory: each chunk is hashed right after it is copied,
+/// while it is still in cache.
+u32 append_hashed(std::vector<u8>& dst, std::span<const u8> src, u32 state) {
+    constexpr std::size_t kChunk = 64 * 1024;
+    dst.reserve(dst.size() + src.size());
+    for (std::size_t off = 0; off < src.size(); off += kChunk) {
+        const auto chunk = src.subspan(off, std::min(kChunk, src.size() - off));
+        dst.insert(dst.end(), chunk.begin(), chunk.end());
+        state = format::crc32c(chunk, state);
+    }
+    return state;
+}
+
 /// Frame-level integrity: length floor + trailing CRC32C, classified
 /// into typed codes (unlike wire_io's checked_payload, which reports strings
-/// only). Returns the payload the checksum covers.
-std::span<const u8> verify_frame(std::span<const u8> frame, const char* ctx) {
+/// only). With `copy_to`, the covered bytes from `copy_from` on are copied
+/// into it by the same pass that hashes them, so checking a frame and
+/// taking its payload read the payload from memory once.
+Verified verify_frame(std::span<const u8> frame, const char* ctx,
+                      std::vector<u8>* copy_to = nullptr,
+                      std::size_t copy_from = 0) {
     if (frame.size() < 16)
         fail(ErrorCode::malformed_frame, std::string(ctx) + ": frame too short");
-    u64 stored = 0;
-    for (int i = 0; i < 8; ++i)
-        stored |= u64{frame[frame.size() - 8 + i]} << (8 * i);
-    auto payload = frame.first(frame.size() - 8);
-    if (format::crc32c(payload) != stored)
+    const u64 stored = read_le(frame.last(8), 8);
+    const auto covered = frame.first(frame.size() - 8);
+    const u32 crc =
+        copy_to == nullptr
+            ? format::crc32c(covered)
+            : format::crc32c_combine(
+                  format::crc32c(covered.first(copy_from)),
+                  append_hashed(*copy_to, covered.subspan(copy_from), 0),
+                  covered.size() - copy_from);
+    if (crc != stored)
         fail(ErrorCode::checksum_mismatch, std::string(ctx) + ": checksum mismatch");
-    return payload;
+    return {covered, crc};
+}
+
+/// CRC32C of the `len` bytes that follow `head` in a run whose CRC is
+/// `crc_whole`: crc(h ‖ p) = crc(h)·x^(8|p|) ⊕ crc(p), solved for crc(p).
+u32 tail_crc(u32 crc_whole, std::span<const u8> head, u64 len) {
+    return crc_whole ^ format::crc32c_combine(format::crc32c(head), 0, len);
+}
+
+void put_detail(std::vector<u8>& out, const std::string& detail) {
+    const std::size_t n = std::min<std::size_t>(detail.size(), kMaxDetailLen);
+    put_u32(out, static_cast<u32>(n));
+    out.insert(out.end(), detail.begin(), detail.begin() + static_cast<std::ptrdiff_t>(n));
+}
+
+/// The 8-byte trailer holding `crc`, zero-extended.
+format::ByteBuffer trailer(u32 crc) {
+    std::vector<u8> t;
+    t.reserve(8);
+    put_u64(t, crc);
+    return t;
+}
+
+/// A frame that is all owned bytes: seal `bytes` with its trailer, as one
+/// slice.
+FrameSlices sealed(std::vector<u8> bytes) {
+    append_checksum(bytes);
+    FrameSlices f;
+    f.slices.push_back(std::move(bytes));
+    return f;
+}
+
+[[noreturn]] void frame_too_large(const char* ctx, u64 size, const char* what,
+                                  u64 max) {
+    fail(ErrorCode::frame_too_large,
+         std::string(ctx) + ": " + std::to_string(size) + " B " + what +
+             " exceeds the negotiated " + std::to_string(max) + " B maximum");
 }
 
 /// Wrap the structural parse so cursor bounds violations (plain recoil::Error
@@ -136,7 +216,7 @@ std::vector<u8> encode_request(const ServeRequest& req) {
 
 ServeRequest decode_request(std::span<const u8> frame) {
     const char* ctx = "serve request";
-    auto payload = verify_frame(frame, ctx);
+    const auto payload = verify_frame(frame, ctx).covered;
     return parse_frame(payload, ctx, [&](Cursor& c) {
         check_magic(c, kRequestMagic, ctx);
         check_version(c, ctx);
@@ -178,49 +258,73 @@ ServeRequest decode_request(std::span<const u8> frame) {
     });
 }
 
-std::vector<u8> encode_response(const ServeResult& res, u64 max_frame_bytes) {
-    const bool has_wire = res.ok() && res.wire != nullptr;
+u64 FrameSlices::size() const noexcept {
+    u64 n = 0;
+    for (const format::ByteBuffer& s : slices) n += s.size();
+    return n;
+}
+
+std::vector<u8> FrameSlices::materialize() const {
     std::vector<u8> out;
-    // One allocation: growing past the wire to append the trailer would
-    // copy a multi-megabyte frame a second time.
-    out.reserve(4 + 1 + 2 + 1 + 1 + 4 + 4 +
-                std::min<std::size_t>(res.detail.size(), kMaxDetailLen) + 8 +
-                (has_wire ? res.wire->size() : 0) + 8);
-    out.insert(out.end(), kResponseMagic, kResponseMagic + 4);
-    out.push_back(kProtocolVersion);
-    put_u16(out, static_cast<u16>(res.code));
-    out.push_back(static_cast<u8>(res.payload));
-    out.push_back(static_cast<u8>((res.stats.cache_hit ? kResponseFlagCacheHit : 0) |
-                                  (res.stats.coalesced ? kResponseFlagCoalesced : 0)));
-    put_u32(out, res.stats.splits_served);
-    std::string detail = res.detail;
-    if (detail.size() > kMaxDetailLen) detail.resize(kMaxDetailLen);
-    put_u32(out, static_cast<u32>(detail.size()));
-    out.insert(out.end(), detail.begin(), detail.end());
-    if (has_wire) {
-        put_u64(out, res.wire->size());
-        out.insert(out.end(), res.wire->begin(), res.wire->end());
-    } else {
-        put_u64(out, 0);
-    }
-    append_checksum(out);
-    if (max_frame_bytes != kNoFrameLimit && out.size() > max_frame_bytes)
-        fail(ErrorCode::frame_too_large,
-             "serve response: " + std::to_string(out.size()) +
-                 " B frame exceeds the negotiated " +
-                 std::to_string(max_frame_bytes) + " B maximum");
+    out.reserve(size());
+    for (const format::ByteBuffer& s : slices) out.insert(out.end(), s.begin(), s.end());
     return out;
+}
+
+FrameSlices response_frame(const ServeResult& res, u64 max_frame_bytes) {
+    const bool has_wire = res.ok() && res.wire != nullptr && !res.wire->empty();
+    const u64 wire_len = has_wire ? res.wire->size() : 0;
+    std::vector<u8> head;
+    head.reserve(kResponseHeadBytes +
+                 std::min<std::size_t>(res.detail.size(), kMaxDetailLen));
+    head.insert(head.end(), kResponseMagic, kResponseMagic + 4);
+    head.push_back(kProtocolVersion);
+    put_u16(head, static_cast<u16>(res.code));
+    head.push_back(static_cast<u8>(res.payload));
+    head.push_back(static_cast<u8>((res.stats.cache_hit ? kResponseFlagCacheHit : 0) |
+                                   (res.stats.coalesced ? kResponseFlagCoalesced : 0)));
+    put_u32(head, res.stats.splits_served);
+    put_detail(head, res.detail);
+    put_u64(head, wire_len);
+    const u64 total = head.size() + wire_len + 8;
+    if (max_frame_bytes != kNoFrameLimit && total > max_frame_bytes)
+        frame_too_large("serve response", total, "frame", max_frame_bytes);
+    if (!has_wire) return sealed(std::move(head));
+    const u32 wire_crc = res.wire_crc ? *res.wire_crc : format::crc32c(*res.wire);
+    const u32 crc = format::crc32c_combine(format::crc32c(head), wire_crc, wire_len);
+    FrameSlices f;
+    f.slices.reserve(3);
+    f.slices.push_back(std::move(head));
+    f.slices.push_back(format::ByteBuffer::view(*res.wire, res.wire));
+    f.slices.push_back(trailer(crc));
+    return f;
+}
+
+std::vector<u8> encode_response(const ServeResult& res, u64 max_frame_bytes) {
+    return response_frame(res, max_frame_bytes).materialize();
 }
 
 ServeResult decode_response(std::span<const u8> frame, u64 max_frame_bytes) {
     const char* ctx = "serve response";
     if (max_frame_bytes != kNoFrameLimit && frame.size() > max_frame_bytes)
-        fail(ErrorCode::frame_too_large,
-             "serve response: " + std::to_string(frame.size()) +
-                 " B frame exceeds the negotiated " +
-                 std::to_string(max_frame_bytes) + " B maximum");
-    auto payload = verify_frame(frame, ctx);
-    return parse_frame(payload, ctx, [&](Cursor& c) {
+        frame_too_large("serve response", frame.size(), "frame", max_frame_bytes);
+    // Where the frame's own length fields put the wire: when the wire runs
+    // exactly to the trailer, it is copied out while the frame is verified.
+    // Any other layout is verified first and then fails to parse.
+    std::vector<u8> wire;
+    std::size_t wire_at = 0;
+    if (frame.size() >= kResponseHeadBytes + 8) {
+        const u64 detail_len = read_le(frame.subspan(13), 4);
+        const u64 covered = frame.size() - 8;
+        if (kResponseHeadBytes + detail_len <= covered) {
+            const u64 wire_len = read_le(frame.subspan(17 + detail_len), 8);
+            if (wire_len != 0 && wire_len == covered - kResponseHeadBytes - detail_len)
+                wire_at = static_cast<std::size_t>(kResponseHeadBytes + detail_len);
+        }
+    }
+    const Verified v =
+        verify_frame(frame, ctx, wire_at != 0 ? &wire : nullptr, wire_at);
+    return parse_frame(v.covered, ctx, [&](Cursor& c) {
         check_magic(c, kResponseMagic, ctx);
         check_version(c, ctx);
         ServeResult res;
@@ -253,9 +357,11 @@ ServeResult decode_response(std::span<const u8> frame, u64 max_frame_bytes) {
             fail(ErrorCode::malformed_frame,
                  std::string(ctx) + ": payload/status mismatch");
         if (wire_len != 0) {
+            const std::size_t head = c.pos;
             auto bytes = c.get_bytes(wire_len);
-            res.wire = std::make_shared<const std::vector<u8>>(bytes.begin(),
-                                                               bytes.end());
+            if (head != wire_at) wire.assign(bytes.begin(), bytes.end());
+            res.wire = std::make_shared<const std::vector<u8>>(std::move(wire));
+            res.wire_crc = tail_crc(v.crc, v.covered.first(head), wire_len);
             res.stats.wire_bytes = wire_len;
         }
         return res;
@@ -277,7 +383,7 @@ void put_stream_preamble(std::vector<u8>& out, StreamFrameType type) {
 
 }  // namespace
 
-std::vector<u8> encode_stream_header(const StreamHeader& h) {
+FrameSlices stream_header_frame(const StreamHeader& h) {
     std::vector<u8> out;
     put_stream_preamble(out, StreamFrameType::header);
     out.push_back(static_cast<u8>((h.cache_hit ? kStreamFlagCacheHit : 0) |
@@ -288,33 +394,32 @@ std::vector<u8> encode_stream_header(const StreamHeader& h) {
     put_u32(out, h.splits);
     put_u64(out, h.wire_bytes);
     put_u64(out, h.max_frame_bytes);
-    std::string detail = h.detail;
-    if (detail.size() > kMaxDetailLen) detail.resize(kMaxDetailLen);
-    put_u32(out, static_cast<u32>(detail.size()));
-    out.insert(out.end(), detail.begin(), detail.end());
-    append_checksum(out);
-    return out;
+    put_detail(out, h.detail);
+    return sealed(std::move(out));
 }
 
-std::vector<u8> encode_stream_body(u32 seq, std::span<const u8> payload,
-                                   u64 max_frame_bytes) {
-    if (max_frame_bytes != kNoFrameLimit && payload.size() > max_frame_bytes)
-        fail(ErrorCode::frame_too_large,
-             "stream body: " + std::to_string(payload.size()) +
-                 " B payload exceeds the negotiated " +
-                 std::to_string(max_frame_bytes) + " B maximum");
-    std::vector<u8> out;
-    out.reserve(payload.size() + kStreamBodyOverhead);
-    put_stream_preamble(out, StreamFrameType::body);
-    out.push_back(0);  // reserved
-    put_u32(out, seq);
-    put_u64(out, payload.size());
-    out.insert(out.end(), payload.begin(), payload.end());
-    append_checksum(out);
-    return out;
+FrameSlices stream_body_frame(u32 seq, std::vector<format::ByteBuffer> payload,
+                              u32 payload_crc, u64 max_frame_bytes) {
+    u64 len = 0;
+    for (const format::ByteBuffer& s : payload) len += s.size();
+    if (max_frame_bytes != kNoFrameLimit && len > max_frame_bytes)
+        frame_too_large("stream body", len, "payload", max_frame_bytes);
+    std::vector<u8> head;
+    head.reserve(kStreamBodyOverhead - 8);
+    put_stream_preamble(head, StreamFrameType::body);
+    head.push_back(0);  // reserved
+    put_u32(head, seq);
+    put_u64(head, len);
+    const u32 crc = format::crc32c_combine(format::crc32c(head), payload_crc, len);
+    FrameSlices f;
+    f.slices.reserve(payload.size() + 2);
+    f.slices.push_back(std::move(head));
+    for (format::ByteBuffer& s : payload) f.slices.push_back(std::move(s));
+    f.slices.push_back(trailer(crc));
+    return f;
 }
 
-std::vector<u8> encode_stream_fin(const StreamFin& fin) {
+FrameSlices stream_fin_frame(const StreamFin& fin) {
     std::vector<u8> out;
     put_stream_preamble(out, StreamFrameType::fin);
     out.push_back(0);  // reserved
@@ -322,12 +427,23 @@ std::vector<u8> encode_stream_fin(const StreamFin& fin) {
     put_u32(out, fin.body_frames);
     put_u32(out, fin.splits);
     put_u64(out, fin.wire_checksum);
-    std::string detail = fin.detail;
-    if (detail.size() > kMaxDetailLen) detail.resize(kMaxDetailLen);
-    put_u32(out, static_cast<u32>(detail.size()));
-    out.insert(out.end(), detail.begin(), detail.end());
-    append_checksum(out);
-    return out;
+    put_detail(out, fin.detail);
+    return sealed(std::move(out));
+}
+
+std::vector<u8> encode_stream_header(const StreamHeader& h) {
+    return stream_header_frame(h).materialize();
+}
+
+std::vector<u8> encode_stream_body(u32 seq, std::span<const u8> payload,
+                                   u64 max_frame_bytes) {
+    return stream_body_frame(seq, {format::ByteBuffer::view(payload, nullptr)},
+                             format::crc32c(payload), max_frame_bytes)
+        .materialize();
+}
+
+std::vector<u8> encode_stream_fin(const StreamFin& fin) {
+    return stream_fin_frame(fin).materialize();
 }
 
 StreamFrame decode_stream_frame(std::span<const u8> frame,
@@ -341,8 +457,8 @@ StreamFrame decode_stream_frame(std::span<const u8> frame,
     // because its detail outgrew a small body ceiling. (A transport read
     // loop should cap its length prefix at
     // max_frame_bytes + kMaxDetailLen + overhead.)
-    auto payload = verify_frame(frame, ctx);
-    return parse_frame(payload, ctx, [&](Cursor& c) {
+    const Verified ver = verify_frame(frame, ctx);
+    return parse_frame(ver.covered, ctx, [&](Cursor& c) {
         check_magic(c, kResponseMagic, ctx);
         const u8 v = c.get_u8();
         if (v != kStreamVersion)
@@ -394,14 +510,13 @@ StreamFrame decode_stream_frame(std::span<const u8> frame,
                 f.seq = c.get_u32();
                 const u64 len = c.get_u64();
                 if (max_frame_bytes != kNoFrameLimit && len > max_frame_bytes)
-                    fail(ErrorCode::frame_too_large,
-                         std::string(ctx) + ": " + std::to_string(len) +
-                             " B body exceeds the negotiated " +
-                             std::to_string(max_frame_bytes) + " B maximum");
+                    frame_too_large(ctx, len, "body", max_frame_bytes);
                 if (len == 0)
                     fail(ErrorCode::malformed_frame,
                          std::string(ctx) + ": empty body frame");
+                const std::size_t head = c.pos;
                 f.payload = c.get_bytes(len);
+                f.payload_crc = tail_crc(ver.crc, ver.covered.first(head), len);
                 break;
             }
             case StreamFrameType::fin: {
@@ -456,7 +571,10 @@ bool StreamReassembler::feed(std::span<const u8> frame) {
                                     "stream reassembly: body bytes exceed the "
                                     "announced wire size");
             ++next_seq_;
-            digest_ = format::crc32c(f.payload, digest_);
+            digest_ = format::crc32c_combine(digest_, f.payload_crc, f.payload.size());
+            if (wire_->empty() && head_.wire_bytes != 0)
+                wire_->reserve(static_cast<std::size_t>(
+                    std::min<u64>(head_.wire_bytes, kMaxReserveBytes)));
             wire_->insert(wire_->end(), f.payload.begin(), f.payload.end());
             break;
         }
@@ -510,6 +628,7 @@ ServeResult StreamReassembler::result() const {
         // Alias the accumulation buffer (it never mutates after done_):
         // handing out the wire costs no copy.
         res.wire = WireBytes(wire_);
+        res.wire_crc = digest_;  // the FIN-checked whole-wire CRC
         res.stats.wire_bytes = wire_->size();
     }
     return res;

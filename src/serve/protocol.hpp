@@ -136,9 +136,25 @@ struct ServeResult {
     std::string detail;  ///< human-readable elaboration of `code`
     PayloadKind payload = PayloadKind::none;
     WireBytes wire;      ///< shared payload bytes; null on failure
+    /// CRC32C of *wire when it is known without a pass over the bytes (a
+    /// served wire's own trailer gives it; a decoded frame's check yields
+    /// it). Frame builders hash the wire when it is absent.
+    std::optional<u32> wire_crc;
     ServeStats stats;
 
     bool ok() const noexcept { return code == ErrorCode::ok; }
+};
+
+/// A frame as the runs of bytes it is made of, in wire order: owned
+/// structural runs (header, trailer, transport prefix) and borrowed views of
+/// a payload that the view's keeper (a WireBytes, a mapped asset) keeps
+/// alive. Sending the slices with one gathered write copies no payload;
+/// materialize() is where a frame becomes one vector.
+struct FrameSlices {
+    std::vector<format::ByteBuffer> slices;
+
+    u64 size() const noexcept;
+    std::vector<u8> materialize() const;
 };
 
 inline constexpr u8 kProtocolVersion = 1;
@@ -157,15 +173,23 @@ std::vector<u8> encode_request(const ServeRequest& req);
 /// Parse a request frame. Throws ProtocolError on any defect; never crashes.
 ServeRequest decode_request(std::span<const u8> frame);
 
-/// Serialize a result into a framed, checksummed message ("RCRS" v1). The
-/// payload bytes ride inside the frame; server-local timing stats do not.
-/// With a negotiated `max_frame_bytes`, a frame that would exceed it throws
-/// typed frame_too_large instead of being emitted (encode-side enforcement).
+/// Build a result's framed, checksummed message ("RCRS" v1) as slices: an
+/// owned header, the borrowed wire, an owned trailer. Server-local timing
+/// stats do not ride. The trailer's CRC32C is combined from the header's
+/// and res.wire_crc, so a wire whose CRC is known is never re-read (it is
+/// hashed once when wire_crc is absent). With a negotiated
+/// `max_frame_bytes`, a frame that would exceed it throws typed
+/// frame_too_large instead of being emitted (encode-side enforcement).
+FrameSlices response_frame(const ServeResult& res,
+                           u64 max_frame_bytes = kNoFrameLimit);
+/// response_frame(), materialized.
 std::vector<u8> encode_response(const ServeResult& res,
                                 u64 max_frame_bytes = kNoFrameLimit);
 /// Parse a response frame. Throws ProtocolError on any defect. With a
 /// negotiated `max_frame_bytes`, an oversized frame is rejected as typed
 /// frame_too_large before any of it is parsed (decode-side enforcement).
+/// The frame is hashed once and its wire copied once; the result carries
+/// the wire's CRC32C, derived from that one pass.
 ServeResult decode_response(std::span<const u8> frame,
                             u64 max_frame_bytes = kNoFrameLimit);
 
@@ -214,11 +238,25 @@ struct StreamFrame {
     StreamHeader header;          ///< type == header
     u32 seq = 0;                  ///< type == body: 0-based body frame index
     std::span<const u8> payload;  ///< type == body
+    /// type == body: CRC32C of `payload`, recovered from the frame check
+    /// in O(1) rather than by hashing the payload a second time.
+    u32 payload_crc = 0;
     StreamFin fin;                ///< type == fin
 };
 
+/// The v2 frame builders, sharing the v1 builder's slice form. A body frame
+/// borrows its payload slices (each keeps its storage alive) and takes
+/// their CRC32C, which the caller computed as it cut them, so the trailer
+/// is combined rather than hashed. Throws typed frame_too_large when the
+/// payload exceeds `max_frame_bytes`.
+FrameSlices stream_header_frame(const StreamHeader& h);
+FrameSlices stream_body_frame(u32 seq, std::vector<format::ByteBuffer> payload,
+                              u32 payload_crc,
+                              u64 max_frame_bytes = kNoFrameLimit);
+FrameSlices stream_fin_frame(const StreamFin& fin);
+
+/// The builders above, materialized.
 std::vector<u8> encode_stream_header(const StreamHeader& h);
-/// Throws typed frame_too_large when payload exceeds `max_frame_bytes`.
 std::vector<u8> encode_stream_body(u32 seq, std::span<const u8> payload,
                                    u64 max_frame_bytes = kNoFrameLimit);
 std::vector<u8> encode_stream_fin(const StreamFin& fin);
@@ -273,7 +311,9 @@ private:
     u32 splits_ = 0;
     std::shared_ptr<std::vector<u8>> wire_ =
         std::make_shared<std::vector<u8>>();
-    u32 digest_ = 0;  ///< incremental CRC32C of *wire_
+    /// CRC32C of *wire_, folded frame by frame from each body frame's
+    /// payload CRC (recovered from the frame check, not a second pass).
+    u32 digest_ = 0;
     u32 next_seq_ = 0;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 
 #include "simd/dispatch.hpp"
 #include "util/error.hpp"
@@ -147,12 +148,18 @@ u64 ServeStream::frames_emitted() const noexcept { return st_->frames; }
 u64 ServeStream::peak_owned_bytes() const noexcept { return st_->peak_owned; }
 
 std::optional<std::vector<u8>> ServeStream::next_frame() {
+    auto frame = next_frame_slices();
+    if (!frame) return std::nullopt;
+    return frame->materialize();
+}
+
+std::optional<FrameSlices> ServeStream::next_frame_slices() {
     using Phase = detail::StreamState::Phase;
     detail::StreamState& st = *st_;
     // Per-frame latency: framing cost only, since the response already
     // exists; the distribution behind streamed tail-latency numbers.
     Stopwatch frame_clock;
-    const auto emit = [&](std::vector<u8> frame) {
+    const auto emit = [&](FrameSlices frame) {
         if (st.h_frame != nullptr) st.h_frame->observe(frame_clock.seconds());
         return frame;
     };
@@ -171,34 +178,40 @@ std::optional<std::vector<u8>> ServeStream::next_frame() {
         ++st.frames;
         // An error response is a single header frame: the stream ends here.
         if (st.phase == Phase::finished) st.server->record_stream_trace(st);
-        return emit(encode_stream_header(h));
+        return emit(stream_header_frame(h));
     }
 
     if (st.phase == Phase::body) {
-        std::vector<u8> payload;
-        while (payload.size() < st.frame_target() && !st.pieces.empty()) {
+        // The frame borrows its payload from the pieces; each slice is
+        // hashed once, here, and the FIN digest folds the frame's CRC in.
+        std::vector<format::ByteBuffer> payload;
+        u64 len = 0;
+        u64 owned = 0;
+        u32 crc = 0;
+        while (len < st.frame_target() && !st.pieces.empty()) {
             const format::ByteBuffer& piece = st.pieces.front();
             if (!st.payload_phase && piece.borrowed()) {
                 // Payload starts here. Flush the prefix as its own (small)
                 // frame; an empty frame just grows the target.
                 st.payload_phase = true;
-                if (!payload.empty()) break;
+                if (len != 0) break;
             }
-            const std::size_t n = std::min<std::size_t>(
-                static_cast<std::size_t>(st.frame_target()) - payload.size(),
-                piece.size() - st.front_off);
-            payload.insert(payload.end(), piece.begin() + st.front_off,
-                           piece.begin() + st.front_off + n);
+            const std::size_t n = static_cast<std::size_t>(std::min<u64>(
+                st.frame_target() - len, piece.size() - st.front_off));
+            format::ByteBuffer slice = piece.slice(st.front_off, n);
+            crc = format::crc32c(slice, crc);
+            if (!slice.borrowed()) owned += n;
+            payload.push_back(std::move(slice));
+            len += n;
             st.advance(n);
         }
-        if (!payload.empty()) {
-            st.digest = format::crc32c(payload, st.digest);
-            st.emitted_payload += payload.size();
-            st.peak_owned =
-                std::max(st.peak_owned, st.owned_left + payload.size());
+        if (len != 0) {
+            st.digest = format::crc32c_combine(st.digest, crc, len);
+            st.emitted_payload += len;
+            st.peak_owned = std::max(st.peak_owned, st.owned_left + owned);
             ++st.frames;
-            return emit(
-                encode_stream_body(st.seq++, payload, st.opt.max_frame_bytes));
+            return emit(stream_body_frame(st.seq++, std::move(payload), crc,
+                                          st.opt.max_frame_bytes));
         }
         st.phase = Phase::fin;  // exhausted: fall through to the FIN
     }
@@ -212,7 +225,7 @@ std::optional<std::vector<u8>> ServeStream::next_frame() {
         st.phase = Phase::finished;
         ++st.frames;
         st.server->record_stream_trace(st);
-        return emit(encode_stream_fin(fin));
+        return emit(stream_fin_frame(fin));
     }
 
     return std::nullopt;
@@ -489,6 +502,7 @@ ServeResult ContentServer::serve_impl(const ServeRequest& req,
     res.payload = p.payload;
     ServedWire served = serve_shared(p, res.stats, &trace);
     res.wire = std::move(served.wire);
+    res.wire_crc = served.crc;
     res.stats.splits_served = served.splits;
     res.stats.wire_bytes = res.wire->size();
     res.code = ErrorCode::ok;
@@ -513,11 +527,11 @@ ServedWire ContentServer::serve_shared(const Prepared& p, ServeStats& stats,
                                        WirePieces* pieces) {
     {
         obs::TraceContext::Scoped span(trace, "cache_lookup", nullptr);
-        u32 splits = 0;
+        u32 splits = 0, crc = 0;
         if (WireBytes wire =
-                cache_.get(p.key, p.parallelism, &splits, p.start_ns)) {
+                cache_.get(p.key, p.parallelism, &splits, p.start_ns, &crc)) {
             stats.cache_hit = true;
-            return {std::move(wire), splits};
+            return {std::move(wire), splits, crc};
         }
     }
 
@@ -547,10 +561,10 @@ ServedWire ContentServer::serve_shared(const Prepared& p, ServeStats& stats,
     // between our miss and the flight insert (put happens before the flight
     // retires). Recheck before paying for a combine, and publish the cached
     // wire to any followers already parked on this flight.
-    u32 cached_splits = 0;
-    if (WireBytes cached =
-            cache_.get(p.key, p.parallelism, &cached_splits, p.start_ns)) {
-        ServedWire wire{std::move(cached), cached_splits};
+    u32 cached_splits = 0, cached_crc = 0;
+    if (WireBytes cached = cache_.get(p.key, p.parallelism, &cached_splits,
+                                      p.start_ns, &cached_crc)) {
+        ServedWire wire{std::move(cached), cached_splits, cached_crc};
         retire_flight(flight_key, flight, &wire, ErrorCode::ok, {});
         stats.cache_hit = true;
         return wire;
@@ -562,6 +576,10 @@ ServedWire ContentServer::serve_shared(const Prepared& p, ServeStats& stats,
     try {
         wire.splits = produce(p, produced, trace);
         wire.wire = concat(produced);
+        // Every produced wire ends in its own CRC32C trailer, so its CRC
+        // costs 8 bytes of hashing, not a pass over the wire.
+        wire.crc = format::wire::sealed_wire_crc(*wire.wire);
+        assert(wire.crc == format::crc32c(*wire.wire));
         stats.combine_seconds = combine.seconds();
         // Publish to the cache before retiring the flight, so a request
         // arriving between the two hits the cache instead of recombining.
@@ -576,7 +594,7 @@ ServedWire ContentServer::serve_shared(const Prepared& p, ServeStats& stats,
         // served for the successor, so the cost is transient bytes, not
         // staleness.)
         if (store_.is_current(*p.asset))
-            cache_.put(p.key, p.parallelism, wire.wire, wire.splits);
+            cache_.put(p.key, p.parallelism, wire.wire, wire.splits, wire.crc);
     } catch (const ProtocolError& e) {
         retire_flight(flight_key, flight, nullptr, e.code(), e.what());
         throw;
@@ -691,6 +709,17 @@ ServeStream ContentServer::serve_stream(const ServeRequest& req,
 std::vector<u8> ContentServer::serve_frame(
     std::span<const u8> request_frame) noexcept {
     try {
+        return serve_frame_slices(request_frame).materialize();
+    } catch (...) {
+        // Materializing can only fail on allocation exhaustion; an empty
+        // frame (rejected by any decoder) beats terminating the server.
+        return {};
+    }
+}
+
+FrameSlices ContentServer::serve_frame_slices(
+    std::span<const u8> request_frame) noexcept {
+    try {
         ServeRequest req;
         try {
             Stopwatch decode;
@@ -699,17 +728,18 @@ std::vector<u8> ContentServer::serve_frame(
         } catch (const ProtocolError& e) {
             totals_.add(kRequests);
             totals_.add(kFailures);
-            return encode_response(fail(e.code(), e.what()));
+            return response_frame(fail(e.code(), e.what()));
         }
         // Reserved "!..." names are introspection, answered from the
         // registry — never from the store (a leading '!' is not a legal
         // store name, so no real asset is shadowed).
         if (!req.asset.empty() && req.asset[0] == '!')
-            return encode_response(serve_introspection(req));
-        return encode_response(serve(req));
+            return response_frame(serve_introspection(req));
+        return response_frame(serve(req));
     } catch (...) {
-        // encode_response can only fail on allocation exhaustion; an empty
-        // frame (rejected by any decoder) beats terminating the server.
+        // Building the frame can only fail on allocation exhaustion; an
+        // empty frame (rejected by any decoder) beats terminating the
+        // server.
         return {};
     }
 }
@@ -735,6 +765,7 @@ ServeResult ContentServer::serve_introspection(
         res.code = ErrorCode::ok;
         res.payload = PayloadKind::metrics;
         res.wire = share(std::vector<u8>(body.begin(), body.end()));
+        res.wire_crc = format::crc32c(*res.wire);  // no trailer to read it off
         res.stats.wire_bytes = res.wire->size();
     } catch (const ProtocolError& e) {
         totals_.add(kFailures);

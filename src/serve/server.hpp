@@ -6,7 +6,8 @@
 // the same response are single-flighted: one combine runs, everyone shares
 // the resulting wire. serve_frame() is the transport boundary — opaque
 // request frame in, response frame out — so a network frontend needs no
-// knowledge of assets or caching.
+// knowledge of assets or caching. serve_frame_slices() is the same entry
+// without the materializing copy: the daemon sends its slices as they are.
 //
 // serve_stream() is the streamed side of the same pipeline: it produces the
 // whole response once, when called, as the asset's WireSink pieces (small
@@ -115,13 +116,18 @@ public:
     /// Status + stats of the response (splits and wire_bytes included);
     /// `wire` is always null.
     const ServeResult& head() const noexcept;
-    /// The next protocol frame, or nullopt once the stream is complete. An
-    /// error response is a single header frame.
+    /// The next protocol frame as slices, or nullopt once the stream is
+    /// complete. An error response is a single header frame. Body frames
+    /// borrow their payload from the stream's pieces (the slices keep it
+    /// alive), so framing copies no payload and hashes each byte once.
+    std::optional<FrameSlices> next_frame_slices();
+    /// next_frame_slices(), materialized into one vector.
     std::optional<std::vector<u8>> next_frame();
     bool done() const noexcept;
     u64 frames_emitted() const noexcept;
     /// High-water mark of owned bytes the stream held at once (owned
-    /// structural pieces not yet sent + the frame under construction).
+    /// structural pieces not yet sent + the owned part of the frame under
+    /// construction).
     /// Payload views pinning existing asset storage cost no new memory and
     /// are excluded; this is the number the bench compares against wire
     /// size.
@@ -198,8 +204,12 @@ public:
     ServeStream serve_stream(const ServeRequest& req,
                              StreamOptions opt = {}) noexcept;
 
-    /// Transport entry: parse a request frame, serve it, return the encoded
-    /// response frame. Malformed frames become typed error responses.
+    /// Transport entry: parse a request frame, serve it, return the response
+    /// frame as slices (owned header and trailer around the borrowed cached
+    /// wire, which is neither copied nor re-hashed). Malformed frames become
+    /// typed error responses.
+    FrameSlices serve_frame_slices(std::span<const u8> request_frame) noexcept;
+    /// serve_frame_slices(), materialized into one vector.
     std::vector<u8> serve_frame(std::span<const u8> request_frame) noexcept;
 
     /// Remove an asset (memory AND backing store) and every cached response

@@ -11,8 +11,10 @@ namespace {
 CpuFeatures detect() {
     CpuFeatures f;
     unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
-    if (__get_cpuid(1, &eax, &ebx, &ecx, &edx))
+    if (__get_cpuid(1, &eax, &ebx, &ecx, &edx)) {
         f.sse42 = (ecx & (1u << 20)) != 0;
+        f.pclmul = (ecx & (1u << 1)) != 0;
+    }
     if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) {
         f.avx2 = (ebx & (1u << 5)) != 0;
         const bool avx512f = (ebx & (1u << 16)) != 0;

@@ -14,7 +14,8 @@
 #include "core/recoil_decoder.hpp"
 #include "format/container.hpp"
 #include "format/crc32c.hpp"
-#include "serve/protocol.hpp"
+#include "serve/server.hpp"
+#include "stream/chunked.hpp"
 #include "util/cpu.hpp"
 #include "test_util.hpp"
 #include "workload/datasets.hpp"
@@ -221,6 +222,98 @@ TEST(Checksum, IncrementalEqualsOnePassAtEverySplit) {
         EXPECT_EQ(format::detail::crc32c_table(all.subspan(k), a), whole)
             << "split " << k;
     }
+}
+
+TEST(Checksum, InterleavedKernelMatchesTableAtBlockBoundaries) {
+    // The hardware kernel hashes three chains per round and merges them; a
+    // wrong merge constant or an off-by-one round boundary shows only at
+    // lengths around multiples of 3 × block.
+    if (!cpu_features().sse42) GTEST_SKIP() << "no SSE4.2: table kernel only";
+    Xoshiro256 rng(2026);
+    std::vector<u8> buf(6 * format::detail::kCrc32cLongBlock + 16);
+    for (auto& b : buf) b = static_cast<u8>(rng.below(256));
+    const std::span<const u8> all(buf);
+    for (const std::size_t block : {format::detail::kCrc32cShortBlock,
+                                    format::detail::kCrc32cLongBlock}) {
+        const std::size_t r = 3 * block;
+        for (const std::size_t len : {r - 1, r, r + 1, r + 7, 2 * r - 1, 2 * r + 1})
+            for (std::size_t off = 0; off < 8; ++off)
+                for (const u32 state : {0u, 0xDEADBEEFu})
+                    ASSERT_EQ(format::detail::crc32c_hw(all.subspan(off, len), state),
+                              format::detail::crc32c_table(all.subspan(off, len), state))
+                        << "block " << block << " offset " << off << " length " << len;
+    }
+}
+
+TEST(Checksum, CombineEqualsConcatenation) {
+    Xoshiro256 rng(41);
+    std::vector<u8> buf(3 * format::detail::kCrc32cLongBlock + 333);
+    for (auto& b : buf) b = static_cast<u8>(rng.below(256));
+    const std::span<const u8> all(buf);
+    const bool hw = cpu_features().sse42 && cpu_features().pclmul;
+    std::vector<std::size_t> splits{0, 1, 4, 5, buf.size() - 5, buf.size() - 1, buf.size()};
+    for (int i = 0; i < 64; ++i) splits.push_back(rng.below(buf.size() + 1));
+    for (const std::size_t k : splits) {
+        const std::size_t len = buf.size() - k;
+        const u32 a = format::crc32c(all.first(k));
+        const u32 b = format::crc32c(all.subspan(k));
+        const u32 whole = format::crc32c(all);
+        EXPECT_EQ(format::crc32c_combine(a, b, len), whole) << "split " << k;
+        EXPECT_EQ(format::detail::crc32c_combine_table(a, b, len), whole) << "split " << k;
+        if (hw)
+            EXPECT_EQ(format::detail::crc32c_combine_hw(a, b, len), whole) << "split " << k;
+    }
+    // An empty b leaves a unchanged, on both paths.
+    EXPECT_EQ(format::detail::crc32c_combine_table(0x12345678u, 0, 0), 0x12345678u);
+    if (hw) EXPECT_EQ(format::detail::crc32c_combine_hw(0x12345678u, 0, 0), 0x12345678u);
+    // Lengths far beyond the buffer: zero runs, against the incremental API.
+    for (const u64 zeros : {u64{31}, u64{4096}, u64{1} << 20}) {
+        const std::vector<u8> z(zeros, 0);
+        const u32 a = format::crc32c(all.first(100));
+        EXPECT_EQ(format::crc32c_combine(a, format::crc32c(z), zeros),
+                  format::crc32c(z, a))
+            << zeros << " zero bytes";
+    }
+}
+
+TEST(Checksum, WireCrcFromTrailerEqualsFullHash) {
+    // Every wire the server caches ends in its own CRC32C trailer, so its
+    // CRC is read off the last 8 bytes. Hold that against a full hash for
+    // every payload kind, and check served results carry the same value.
+    serve::ContentServer server;
+    const auto data = test::geometric_symbols<u8>(40'000, 0.6, 256, 5);
+    server.store().encode_bytes("file", data, 16);
+    stream::ChunkedEncoder enc({11, 8});
+    for (std::size_t off = 0; off < data.size(); off += 10'000)
+        enc.add_chunk(std::span<const u8>(data).subspan(off, 10'000));
+    server.store().add_chunked("chunked", enc.finish());
+    const serve::ServeRequest requests[] = {
+        {"file", 4, {}}, {"file", 16, {}}, {"chunked", 2, {}}, {"file", 1, {{100, 9000}}}};
+    for (const auto& req : requests) {
+        for (int pass = 0; pass < 2; ++pass) {  // the miss, then the cache hit
+            const serve::ServeResult res = server.serve(req);
+            ASSERT_TRUE(res.ok()) << res.detail;
+            const u32 full = format::crc32c(*res.wire);
+            EXPECT_EQ(format::wire::sealed_wire_crc(*res.wire), full)
+                << serve::payload_name(res.payload);
+            ASSERT_TRUE(res.wire_crc.has_value());
+            EXPECT_EQ(*res.wire_crc, full) << serve::payload_name(res.payload);
+        }
+    }
+    const auto saved = format::save_recoil_file(make_file(5000, 4));
+    EXPECT_EQ(format::wire::sealed_wire_crc(saved), format::crc32c(saved));
+
+    // Metrics bodies have no trailer: hashed directly, and a decoded
+    // frame reports its wire's CRC from the frame check.
+    serve::ServeRequest scrape;
+    scrape.asset = serve::kMetricsAssetText;
+    scrape.accept = serve::kAcceptAll | serve::kAcceptMetrics;
+    const auto metrics =
+        serve::decode_response(server.serve_frame(serve::encode_request(scrape)));
+    ASSERT_TRUE(metrics.ok()) << metrics.detail;
+    EXPECT_EQ(metrics.payload, serve::PayloadKind::metrics);
+    ASSERT_TRUE(metrics.wire_crc.has_value());
+    EXPECT_EQ(*metrics.wire_crc, format::crc32c(*metrics.wire));
 }
 
 TEST(Checksum, TrailerWithHighBitsSetIsAMismatch) {
