@@ -147,19 +147,6 @@ u32 crc32c_table(std::span<const u8> bytes, u32 state) {
     return ~c;
 }
 
-// With the pre- and post-inversion of the standard CRC, the inversions
-// cancel: crc(a ‖ b) = crc(a)·x^(8|b|) mod P ⊕ crc(b).
-
-__attribute__((target("sse4.2,pclmul"))) u32 crc32c_combine_hw(u32 crc_a, u32 crc_b,
-                                                               u64 len_b) {
-    if (len_b < 5) return crc32c_combine_table(crc_a, crc_b, len_b);  // 8·len < 33
-    return static_cast<u32>(shift_hw(crc_a, shift_constant(len_b))) ^ crc_b;
-}
-
-u32 crc32c_combine_table(u32 crc_a, u32 crc_b, u64 len_b) {
-    return multmodp(xpow(8 * len_b), crc_a) ^ crc_b;
-}
-
 }  // namespace detail
 
 u32 crc32c(std::span<const u8> bytes, u32 state) {
@@ -168,11 +155,10 @@ u32 crc32c(std::span<const u8> bytes, u32 state) {
     return kernel(bytes, state);
 }
 
+// With the pre- and post-inversion of the standard CRC, the inversions
+// cancel: crc(a ‖ b) = crc(a)·x^(8|b|) mod P ⊕ crc(b).
 u32 crc32c_combine(u32 crc_a, u32 crc_b, u64 len_b) {
-    static const auto kernel = cpu_features().sse42 && cpu_features().pclmul
-                                   ? &detail::crc32c_combine_hw
-                                   : &detail::crc32c_combine_table;
-    return kernel(crc_a, crc_b, len_b);
+    return multmodp(xpow(8 * len_b), crc_a) ^ crc_b;
 }
 
 }  // namespace recoil::format

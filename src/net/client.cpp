@@ -22,18 +22,27 @@ Client::Client(ClientOptions opt)
       reader_(opt_.max_response_frame) {}
 
 std::vector<u8> Client::read_frame(Deadline deadline) {
+    u8 staging[64 * 1024];
     for (;;) {
         if (auto frame = reader_.next()) return std::move(*frame);
-        // Receive straight into the frame's own buffer: the kernel's copy
-        // is the only one until the protocol layer takes the payload.
-        const std::size_t n = recv_some(fd_.get(), reader_.recv_window(), deadline);
+        // The bulk of a large frame is received straight into the frame's
+        // own buffer: the kernel's copy is the only one until the protocol
+        // layer takes the payload. Short of that, one read into a staging
+        // buffer takes in the rest of the frame and the frames after it,
+        // and feed() copies them into place.
+        const bool direct = reader_.frame_remaining() >= sizeof(staging);
+        const std::span<u8> into = direct ? reader_.recv_window() : std::span<u8>(staging);
+        const std::size_t n = recv_some(fd_.get(), into, deadline);
         if (n == 0) {
             net_fail(NetErrorCode::closed,
                      reader_.empty()
                          ? "server closed the connection"
                          : "server closed the connection mid-frame");
         }
-        reader_.commit(n);
+        if (direct)
+            reader_.commit(n);
+        else
+            reader_.feed(into.first(n));
     }
 }
 

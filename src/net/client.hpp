@@ -5,9 +5,10 @@
 // negotiates the v2 streamed framing and feeds every arriving stream frame
 // through a StreamReassembler — the result is test-enforced bit-exact with
 // v1 — while an optional callback sees each raw frame as it lands
-// (progress bars, incremental decoders). Every frame is received straight
-// into a buffer of its own, sized from its length prefix, so the protocol
-// layer's one copy of the payload is the only one in user space. Transport
+// (progress bars, incremental decoders). The bulk of a large frame is
+// received straight into a buffer of its own, sized from its length prefix,
+// so the protocol layer's one copy of the payload is the only one in user
+// space; small frames arrive many to a read and are copied once. Transport
 // failures throw typed NetError; protocol defects throw the serve layer's
 // ProtocolError — same taxonomy in-process and over the wire.
 

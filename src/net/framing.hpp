@@ -57,12 +57,14 @@ inline void append_net_frame(std::vector<u8>& out, std::span<const u8> frame) {
 }
 
 /// Incremental reassembler for length-prefixed frames. Each frame is
-/// received into a buffer of its own, sized from its prefix, and handed out
-/// by move: a caller that receives straight into recv_window() copies no
-/// byte itself. The buffer grows (within one up-front reservation) as bytes
-/// arrive, so a prefix announcing a large frame costs address space, not
-/// memory, until the bytes come. feed() rejects a frame the moment its
-/// announced length exceeds the cap.
+/// received into a buffer of its own and handed out by move. A caller that
+/// receives straight into recv_window() copies no byte itself; that path
+/// reserves the frame's announced length up front, so it is for peers whose
+/// announcements are trusted to be followed by the bytes (a client reading
+/// its server). feed() copies what arrived and grows the buffer only by
+/// that, so a prefix announcing a large frame costs nothing until its bytes
+/// come. Either rejects a frame the moment its announced length exceeds the
+/// cap.
 class FrameReader {
 public:
     explicit FrameReader(u32 max_frame = kMaxTransportFrame)
@@ -71,16 +73,11 @@ public:
     /// Where the next received bytes belong: the rest of the length prefix,
     /// or a stretch of the announced frame not yet filled. Never empty.
     std::span<u8> recv_window() {
-        if (prefix_fill_ < 4) return std::span<u8>(prefix_).subspan(prefix_fill_);
-        if (frame_fill_ == frame_.size()) {
-            // Expose more of the frame, never past the announced length: as
-            // much as has arrived, between kMinWindow and kMaxWindow. A
-            // window that stays in cache keeps the zero-fill of the fresh
-            // stretch cheap just before the kernel writes over it.
-            const std::size_t grow = std::clamp(frame_fill_, kMinWindow, kMaxWindow);
-            frame_.resize(std::min<std::size_t>(len_, frame_fill_ + grow));
-        }
-        return std::span<u8>(frame_).subspan(frame_fill_);
+        if (prefix_fill_ == 4 && frame_.capacity() < len_) frame_.reserve(len_);
+        // As much as has arrived, between kMinWindow and kMaxWindow: a
+        // window that stays in cache keeps the zero-fill of the fresh
+        // stretch cheap just before the kernel writes over it.
+        return window(std::clamp(frame_fill_, kMinWindow, kMaxWindow));
     }
 
     /// Account for `n` bytes just written at the start of recv_window().
@@ -97,12 +94,11 @@ public:
                 net_fail(NetErrorCode::frame_too_large,
                          "inbound frame announces " + std::to_string(len_) +
                              " bytes, cap is " + std::to_string(max_frame_));
-            frame_.reserve(len_);
         } else {
             frame_fill_ += n;
         }
         if (frame_fill_ < len_) return;
-        ready_bytes_ += len_;
+        ready_bytes_ += frame_.capacity();
         ready_.push_back(std::move(frame_));
         frame_ = std::vector<u8>();
         prefix_fill_ = 0;
@@ -114,7 +110,7 @@ public:
     /// legal, including mid-length-prefix.
     void feed(std::span<const u8> bytes) {
         while (!bytes.empty()) {
-            const std::span<u8> w = recv_window();
+            const std::span<u8> w = window(bytes.size());
             const std::size_t n = std::min(w.size(), bytes.size());
             std::memcpy(w.data(), bytes.data(), n);
             commit(n);
@@ -128,8 +124,14 @@ public:
         if (ready_.empty()) return std::nullopt;
         std::vector<u8> frame = std::move(ready_.front());
         ready_.pop_front();
-        ready_bytes_ -= frame.size();
+        ready_bytes_ -= frame.capacity();
         return frame;
+    }
+
+    /// Bytes of the frame in progress still to arrive; 0 while its length
+    /// prefix is incomplete.
+    std::size_t frame_remaining() const noexcept {
+        return prefix_fill_ < 4 ? 0 : len_ - frame_fill_;
     }
 
     /// True if nothing is buffered — no partial frame and no complete one
@@ -137,13 +139,29 @@ public:
     /// truncated frame).
     bool empty() const noexcept { return prefix_fill_ == 0 && ready_.empty(); }
 
-    /// Bytes received and not yet popped (prefixes of partial frames
-    /// included), for memory accounting.
+    /// Memory held for frames not yet popped: the prefix in progress and
+    /// every frame buffer's capacity, reserved-but-unfilled bytes included.
     std::size_t buffered_bytes() const noexcept {
-        return prefix_fill_ + frame_fill_ + ready_bytes_;
+        return prefix_fill_ + frame_.capacity() + ready_bytes_;
     }
 
 private:
+    /// recv_window() exposing up to `want` more bytes of the frame, never
+    /// past its announced length. Capacity grows by doubling, capped at the
+    /// announced length, so a frame fed piece by piece reallocates O(log)
+    /// times and never holds more than that length.
+    std::span<u8> window(std::size_t want) {
+        if (prefix_fill_ < 4) return std::span<u8>(prefix_).subspan(prefix_fill_);
+        if (frame_fill_ == frame_.size()) {
+            const std::size_t size = std::min<std::size_t>(len_, frame_fill_ + want);
+            if (size > frame_.capacity())
+                frame_.reserve(std::min<std::size_t>(
+                    len_, std::max(size, 2 * frame_.capacity())));
+            frame_.resize(size);
+        }
+        return std::span<u8>(frame_).subspan(frame_fill_);
+    }
+
     static constexpr std::size_t kMinWindow = 64 * 1024;
     static constexpr std::size_t kMaxWindow = 256 * 1024;
 
@@ -154,7 +172,7 @@ private:
     std::vector<u8> frame_;      ///< the frame in progress, sized as exposed
     std::size_t frame_fill_ = 0;
     std::deque<std::vector<u8>> ready_;  ///< complete frames, in order
-    std::size_t ready_bytes_ = 0;
+    std::size_t ready_bytes_ = 0;        ///< summed capacity of ready_
 };
 
 }  // namespace recoil::net

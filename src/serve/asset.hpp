@@ -21,13 +21,11 @@ namespace recoil::serve {
 enum class AssetKind : u8 { static_file = 0, indexed_file = 1, chunked = 2 };
 const char* kind_name(AssetKind kind) noexcept;
 
-/// One response body: shared wire bytes, the parallel work-item count the
-/// wire actually carries, and the wire's CRC32C (read off its own trailer,
-/// so frames are sealed without a pass over the wire).
+/// One response body: shared wire bytes plus the parallel work-item count
+/// the wire actually carries.
 struct ServedWire {
     WireBytes wire;
     u32 splits = 0;
-    u32 crc = 0;
 };
 
 /// One immutable encoded asset. Instances are shared const after insertion

@@ -12,7 +12,7 @@ namespace recoil::serve {
 MetadataCache::MetadataCache(u64 capacity_bytes) : capacity_(capacity_bytes) {}
 
 WireBytes MetadataCache::get(std::string_view asset_key, u32 parallelism,
-                             u32* splits_out, u64 now_ns, u32* crc_out) {
+                             u32* splits_out, u64 now_ns) {
     const KeyView key = key_view(asset_key, parallelism);
     WireBytes wire;
     EntryId id = kNoEntry;
@@ -24,7 +24,6 @@ WireBytes MetadataCache::get(std::string_view asset_key, u32 parallelism,
             wire = it->second.wire;
             id = it->second.id;
             if (splits_out != nullptr) *splits_out = it->second.splits;
-            if (crc_out != nullptr) *crc_out = it->second.crc;
         }
     }
     ReadBuffer& buf = read_buffers_[util::thread_stripe()];
@@ -93,7 +92,7 @@ void MetadataCache::drain_locked() {
 }
 
 void MetadataCache::put(std::string_view asset_key, u32 parallelism,
-                        WireBytes wire, u32 splits, u32 crc) {
+                        WireBytes wire, u32 splits) {
     RECOIL_CHECK(wire != nullptr, "cache put: null payload");
     // Declared before the lock: displaced wires are dropped after it.
     std::vector<WireBytes> released;
@@ -115,7 +114,6 @@ void MetadataCache::put(std::string_view asset_key, u32 parallelism,
                 released.push_back(
                     std::exchange(it->second.wire, std::move(wire)));
                 it->second.splits = splits;
-                it->second.crc = crc;
             }
         }
     }
@@ -136,7 +134,7 @@ void MetadataCache::put(std::string_view asset_key, u32 parallelism,
             util::MutexLock sl(sh.mu);
             auto [pos, inserted] = sh.map.emplace(
                 Key{std::string(asset_key), parallelism, key.hash},
-                Entry{std::move(wire), splits, crc, id});
+                Entry{std::move(wire), splits, id});
             lru_.push_front(id);
             by_id_[id] = Location{si, &pos->first, lru_.begin()};
         }

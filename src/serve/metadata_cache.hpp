@@ -85,17 +85,16 @@ class MetadataCache {
 public:
     explicit MetadataCache(u64 capacity_bytes);
 
-    /// nullptr on miss. A hit makes the entry the most recently used and
-    /// reports, through the non-null out-pointers, the split count and the
-    /// wire CRC32C stored with the entry. The touch is buffered and reaches the recency list before the
+    /// nullptr on miss. A hit makes the entry the most recently used and,
+    /// when `splits_out` is given, reports the split count stored with the
+    /// entry. The touch is buffered and reaches the recency list before the
     /// next put/shrink_to/erase_asset/clear, in the order of its stamp:
     /// `now_ns` (steady_now_ns()), or the clock read here when 0. A caller
     /// that took a timestamp at the start of the same request passes it and
     /// saves the clock read; serial requests still stamp in the order they
     /// ran.
     WireBytes get(std::string_view asset_key, u32 parallelism,
-                  u32* splits_out = nullptr, u64 now_ns = 0,
-                  u32* crc_out = nullptr)
+                  u32* splits_out = nullptr, u64 now_ns = 0)
         RECOIL_EXCLUDES(lru_mu_);
 
     /// Insert (or refresh) an entry, evicting least-recently-used entries
@@ -103,10 +102,10 @@ public:
     /// — counted in CacheStats::rejected (an oversized refresh also drops
     /// the now-stale resident entry rather than keep serving superseded
     /// bytes). An entry exactly equal to capacity is admitted (it fits —
-    /// alone). `splits` is the work-item count the response carries and
-    /// `crc` the wire's CRC32C, both echoed back by get().
+    /// alone). `splits` is the work-item count the response carries,
+    /// echoed back by get().
     void put(std::string_view asset_key, u32 parallelism, WireBytes wire,
-             u32 splits = 0, u32 crc = 0) RECOIL_EXCLUDES(lru_mu_);
+             u32 splits = 0) RECOIL_EXCLUDES(lru_mu_);
 
     /// Drop every entry for `asset_key` (all parallelisms, and derived keys
     /// of the form "asset_key\n..." such as range responses). Not an
@@ -195,7 +194,6 @@ private:
     struct Entry {
         WireBytes wire;
         u32 splits = 0;
-        u32 crc = 0;
         EntryId id = kNoEntry;
     };
     struct alignas(util::kCacheLine) Shard {

@@ -48,39 +48,15 @@ struct Verified {
     u32 crc = 0;
 };
 
-/// Append `src` to `dst` and return its CRC32C continued from `state`, in
-/// one pass over memory: each chunk is hashed right after it is copied,
-/// while it is still in cache.
-u32 append_hashed(std::vector<u8>& dst, std::span<const u8> src, u32 state) {
-    constexpr std::size_t kChunk = 64 * 1024;
-    dst.reserve(dst.size() + src.size());
-    for (std::size_t off = 0; off < src.size(); off += kChunk) {
-        const auto chunk = src.subspan(off, std::min(kChunk, src.size() - off));
-        dst.insert(dst.end(), chunk.begin(), chunk.end());
-        state = format::crc32c(chunk, state);
-    }
-    return state;
-}
-
 /// Frame-level integrity: length floor + trailing CRC32C, classified
 /// into typed codes (unlike wire_io's checked_payload, which reports strings
-/// only). With `copy_to`, the covered bytes from `copy_from` on are copied
-/// into it by the same pass that hashes them, so checking a frame and
-/// taking its payload read the payload from memory once.
-Verified verify_frame(std::span<const u8> frame, const char* ctx,
-                      std::vector<u8>* copy_to = nullptr,
-                      std::size_t copy_from = 0) {
+/// only).
+Verified verify_frame(std::span<const u8> frame, const char* ctx) {
     if (frame.size() < 16)
         fail(ErrorCode::malformed_frame, std::string(ctx) + ": frame too short");
     const u64 stored = read_le(frame.last(8), 8);
     const auto covered = frame.first(frame.size() - 8);
-    const u32 crc =
-        copy_to == nullptr
-            ? format::crc32c(covered)
-            : format::crc32c_combine(
-                  format::crc32c(covered.first(copy_from)),
-                  append_hashed(*copy_to, covered.subspan(copy_from), 0),
-                  covered.size() - copy_from);
+    const u32 crc = format::crc32c(covered);
     if (crc != stored)
         fail(ErrorCode::checksum_mismatch, std::string(ctx) + ": checksum mismatch");
     return {covered, crc};
@@ -290,8 +266,10 @@ FrameSlices response_frame(const ServeResult& res, u64 max_frame_bytes) {
     if (max_frame_bytes != kNoFrameLimit && total > max_frame_bytes)
         frame_too_large("serve response", total, "frame", max_frame_bytes);
     if (!has_wire) return sealed(std::move(head));
-    const u32 wire_crc = res.wire_crc ? *res.wire_crc : format::crc32c(*res.wire);
-    const u32 crc = format::crc32c_combine(format::crc32c(head), wire_crc, wire_len);
+    const u32 head_crc = format::crc32c(head);
+    const u32 crc = res.wire_crc && wire_len >= format::kCrc32cCombineMinBytes
+                        ? format::crc32c_combine(head_crc, *res.wire_crc, wire_len)
+                        : format::crc32c(*res.wire, head_crc);
     FrameSlices f;
     f.slices.reserve(3);
     f.slices.push_back(std::move(head));
@@ -308,23 +286,8 @@ ServeResult decode_response(std::span<const u8> frame, u64 max_frame_bytes) {
     const char* ctx = "serve response";
     if (max_frame_bytes != kNoFrameLimit && frame.size() > max_frame_bytes)
         frame_too_large("serve response", frame.size(), "frame", max_frame_bytes);
-    // Where the frame's own length fields put the wire: when the wire runs
-    // exactly to the trailer, it is copied out while the frame is verified.
-    // Any other layout is verified first and then fails to parse.
-    std::vector<u8> wire;
-    std::size_t wire_at = 0;
-    if (frame.size() >= kResponseHeadBytes + 8) {
-        const u64 detail_len = read_le(frame.subspan(13), 4);
-        const u64 covered = frame.size() - 8;
-        if (kResponseHeadBytes + detail_len <= covered) {
-            const u64 wire_len = read_le(frame.subspan(17 + detail_len), 8);
-            if (wire_len != 0 && wire_len == covered - kResponseHeadBytes - detail_len)
-                wire_at = static_cast<std::size_t>(kResponseHeadBytes + detail_len);
-        }
-    }
-    const Verified v =
-        verify_frame(frame, ctx, wire_at != 0 ? &wire : nullptr, wire_at);
-    return parse_frame(v.covered, ctx, [&](Cursor& c) {
+    const auto payload = verify_frame(frame, ctx).covered;
+    return parse_frame(payload, ctx, [&](Cursor& c) {
         check_magic(c, kResponseMagic, ctx);
         check_version(c, ctx);
         ServeResult res;
@@ -357,11 +320,9 @@ ServeResult decode_response(std::span<const u8> frame, u64 max_frame_bytes) {
             fail(ErrorCode::malformed_frame,
                  std::string(ctx) + ": payload/status mismatch");
         if (wire_len != 0) {
-            const std::size_t head = c.pos;
             auto bytes = c.get_bytes(wire_len);
-            if (head != wire_at) wire.assign(bytes.begin(), bytes.end());
-            res.wire = std::make_shared<const std::vector<u8>>(std::move(wire));
-            res.wire_crc = tail_crc(v.crc, v.covered.first(head), wire_len);
+            res.wire = std::make_shared<const std::vector<u8>>(bytes.begin(),
+                                                               bytes.end());
             res.stats.wire_bytes = wire_len;
         }
         return res;
@@ -399,7 +360,8 @@ FrameSlices stream_header_frame(const StreamHeader& h) {
 }
 
 FrameSlices stream_body_frame(u32 seq, std::vector<format::ByteBuffer> payload,
-                              u32 payload_crc, u64 max_frame_bytes) {
+                              std::optional<u32> payload_crc,
+                              u64 max_frame_bytes) {
     u64 len = 0;
     for (const format::ByteBuffer& s : payload) len += s.size();
     if (max_frame_bytes != kNoFrameLimit && len > max_frame_bytes)
@@ -410,7 +372,12 @@ FrameSlices stream_body_frame(u32 seq, std::vector<format::ByteBuffer> payload,
     head.push_back(0);  // reserved
     put_u32(head, seq);
     put_u64(head, len);
-    const u32 crc = format::crc32c_combine(format::crc32c(head), payload_crc, len);
+    u32 crc = format::crc32c(head);
+    if (payload_crc) {
+        crc = format::crc32c_combine(crc, *payload_crc, len);
+    } else {
+        for (const format::ByteBuffer& s : payload) crc = format::crc32c(s, crc);
+    }
     FrameSlices f;
     f.slices.reserve(payload.size() + 2);
     f.slices.push_back(std::move(head));
@@ -438,7 +405,7 @@ std::vector<u8> encode_stream_header(const StreamHeader& h) {
 std::vector<u8> encode_stream_body(u32 seq, std::span<const u8> payload,
                                    u64 max_frame_bytes) {
     return stream_body_frame(seq, {format::ByteBuffer::view(payload, nullptr)},
-                             format::crc32c(payload), max_frame_bytes)
+                             std::nullopt, max_frame_bytes)
         .materialize();
 }
 
@@ -516,7 +483,8 @@ StreamFrame decode_stream_frame(std::span<const u8> frame,
                          std::string(ctx) + ": empty body frame");
                 const std::size_t head = c.pos;
                 f.payload = c.get_bytes(len);
-                f.payload_crc = tail_crc(ver.crc, ver.covered.first(head), len);
+                if (len >= format::kCrc32cCombineMinBytes)
+                    f.payload_crc = tail_crc(ver.crc, ver.covered.first(head), len);
                 break;
             }
             case StreamFrameType::fin: {
@@ -571,7 +539,9 @@ bool StreamReassembler::feed(std::span<const u8> frame) {
                                     "stream reassembly: body bytes exceed the "
                                     "announced wire size");
             ++next_seq_;
-            digest_ = format::crc32c_combine(digest_, f.payload_crc, f.payload.size());
+            digest_ = f.payload_crc ? format::crc32c_combine(digest_, *f.payload_crc,
+                                                             f.payload.size())
+                                    : format::crc32c(f.payload, digest_);
             if (wire_->empty() && head_.wire_bytes != 0)
                 wire_->reserve(static_cast<std::size_t>(
                     std::min<u64>(head_.wire_bytes, kMaxReserveBytes)));

@@ -137,8 +137,8 @@ struct ServeResult {
     PayloadKind payload = PayloadKind::none;
     WireBytes wire;      ///< shared payload bytes; null on failure
     /// CRC32C of *wire when it is known without a pass over the bytes (a
-    /// served wire's own trailer gives it; a decoded frame's check yields
-    /// it). Frame builders hash the wire when it is absent.
+    /// served wire's own trailer gives it; a completed stream's FIN-checked
+    /// digest is it). Frame builders hash the wire when it is absent.
     std::optional<u32> wire_crc;
     ServeStats stats;
 
@@ -176,8 +176,9 @@ ServeRequest decode_request(std::span<const u8> frame);
 /// Build a result's framed, checksummed message ("RCRS" v1) as slices: an
 /// owned header, the borrowed wire, an owned trailer. Server-local timing
 /// stats do not ride. The trailer's CRC32C is combined from the header's
-/// and res.wire_crc, so a wire whose CRC is known is never re-read (it is
-/// hashed once when wire_crc is absent). With a negotiated
+/// and res.wire_crc, so a wire whose CRC is known is never re-read; a wire
+/// whose CRC is absent, or shorter than format::kCrc32cCombineMinBytes, is
+/// hashed once. With a negotiated
 /// `max_frame_bytes`, a frame that would exceed it throws typed
 /// frame_too_large instead of being emitted (encode-side enforcement).
 FrameSlices response_frame(const ServeResult& res,
@@ -188,8 +189,6 @@ std::vector<u8> encode_response(const ServeResult& res,
 /// Parse a response frame. Throws ProtocolError on any defect. With a
 /// negotiated `max_frame_bytes`, an oversized frame is rejected as typed
 /// frame_too_large before any of it is parsed (decode-side enforcement).
-/// The frame is hashed once and its wire copied once; the result carries
-/// the wire's CRC32C, derived from that one pass.
 ServeResult decode_response(std::span<const u8> frame,
                             u64 max_frame_bytes = kNoFrameLimit);
 
@@ -239,19 +238,21 @@ struct StreamFrame {
     u32 seq = 0;                  ///< type == body: 0-based body frame index
     std::span<const u8> payload;  ///< type == body
     /// type == body: CRC32C of `payload`, recovered from the frame check
-    /// in O(1) rather than by hashing the payload a second time.
-    u32 payload_crc = 0;
+    /// rather than by hashing the payload a second time; absent for a
+    /// payload shorter than format::kCrc32cCombineMinBytes, which is
+    /// cheaper to hash again.
+    std::optional<u32> payload_crc;
     StreamFin fin;                ///< type == fin
 };
 
 /// The v2 frame builders, sharing the v1 builder's slice form. A body frame
-/// borrows its payload slices (each keeps its storage alive) and takes
-/// their CRC32C, which the caller computed as it cut them, so the trailer
-/// is combined rather than hashed. Throws typed frame_too_large when the
-/// payload exceeds `max_frame_bytes`.
+/// borrows its payload slices (each keeps its storage alive). Given the
+/// payload's CRC32C, which the caller computed as it cut the slices, the
+/// trailer is combined from it; without, the slices are hashed. Throws
+/// typed frame_too_large when the payload exceeds `max_frame_bytes`.
 FrameSlices stream_header_frame(const StreamHeader& h);
 FrameSlices stream_body_frame(u32 seq, std::vector<format::ByteBuffer> payload,
-                              u32 payload_crc,
+                              std::optional<u32> payload_crc,
                               u64 max_frame_bytes = kNoFrameLimit);
 FrameSlices stream_fin_frame(const StreamFin& fin);
 

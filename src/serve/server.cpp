@@ -182,12 +182,10 @@ std::optional<FrameSlices> ServeStream::next_frame_slices() {
     }
 
     if (st.phase == Phase::body) {
-        // The frame borrows its payload from the pieces; each slice is
-        // hashed once, here, and the FIN digest folds the frame's CRC in.
+        // The frame borrows its payload from the pieces.
         std::vector<format::ByteBuffer> payload;
         u64 len = 0;
         u64 owned = 0;
-        u32 crc = 0;
         while (len < st.frame_target() && !st.pieces.empty()) {
             const format::ByteBuffer& piece = st.pieces.front();
             if (!st.payload_phase && piece.borrowed()) {
@@ -199,14 +197,24 @@ std::optional<FrameSlices> ServeStream::next_frame_slices() {
             const std::size_t n = static_cast<std::size_t>(std::min<u64>(
                 st.frame_target() - len, piece.size() - st.front_off));
             format::ByteBuffer slice = piece.slice(st.front_off, n);
-            crc = format::crc32c(slice, crc);
             if (!slice.borrowed()) owned += n;
             payload.push_back(std::move(slice));
             len += n;
             st.advance(n);
         }
         if (len != 0) {
-            st.digest = format::crc32c_combine(st.digest, crc, len);
+            // A long payload is hashed once: the FIN digest and the frame's
+            // trailer fold its CRC in by combine. A short one is cheaper to
+            // hash twice, into the digest here and into the trailer.
+            std::optional<u32> crc;
+            if (len >= format::kCrc32cCombineMinBytes) {
+                crc = 0;
+                for (const format::ByteBuffer& s : payload) crc = format::crc32c(s, *crc);
+                st.digest = format::crc32c_combine(st.digest, *crc, len);
+            } else {
+                for (const format::ByteBuffer& s : payload)
+                    st.digest = format::crc32c(s, st.digest);
+            }
             st.emitted_payload += len;
             st.peak_owned = std::max(st.peak_owned, st.owned_left + owned);
             ++st.frames;
@@ -502,7 +510,10 @@ ServeResult ContentServer::serve_impl(const ServeRequest& req,
     res.payload = p.payload;
     ServedWire served = serve_shared(p, res.stats, &trace);
     res.wire = std::move(served.wire);
-    res.wire_crc = served.crc;
+    // Every served wire ends in its own CRC32C trailer, so its CRC costs 8
+    // bytes of hashing, not a pass over the wire.
+    res.wire_crc = format::wire::sealed_wire_crc(*res.wire);
+    assert(*res.wire_crc == format::crc32c(*res.wire));
     res.stats.splits_served = served.splits;
     res.stats.wire_bytes = res.wire->size();
     res.code = ErrorCode::ok;
@@ -527,11 +538,11 @@ ServedWire ContentServer::serve_shared(const Prepared& p, ServeStats& stats,
                                        WirePieces* pieces) {
     {
         obs::TraceContext::Scoped span(trace, "cache_lookup", nullptr);
-        u32 splits = 0, crc = 0;
+        u32 splits = 0;
         if (WireBytes wire =
-                cache_.get(p.key, p.parallelism, &splits, p.start_ns, &crc)) {
+                cache_.get(p.key, p.parallelism, &splits, p.start_ns)) {
             stats.cache_hit = true;
-            return {std::move(wire), splits, crc};
+            return {std::move(wire), splits};
         }
     }
 
@@ -561,10 +572,10 @@ ServedWire ContentServer::serve_shared(const Prepared& p, ServeStats& stats,
     // between our miss and the flight insert (put happens before the flight
     // retires). Recheck before paying for a combine, and publish the cached
     // wire to any followers already parked on this flight.
-    u32 cached_splits = 0, cached_crc = 0;
-    if (WireBytes cached = cache_.get(p.key, p.parallelism, &cached_splits,
-                                      p.start_ns, &cached_crc)) {
-        ServedWire wire{std::move(cached), cached_splits, cached_crc};
+    u32 cached_splits = 0;
+    if (WireBytes cached =
+            cache_.get(p.key, p.parallelism, &cached_splits, p.start_ns)) {
+        ServedWire wire{std::move(cached), cached_splits};
         retire_flight(flight_key, flight, &wire, ErrorCode::ok, {});
         stats.cache_hit = true;
         return wire;
@@ -576,10 +587,6 @@ ServedWire ContentServer::serve_shared(const Prepared& p, ServeStats& stats,
     try {
         wire.splits = produce(p, produced, trace);
         wire.wire = concat(produced);
-        // Every produced wire ends in its own CRC32C trailer, so its CRC
-        // costs 8 bytes of hashing, not a pass over the wire.
-        wire.crc = format::wire::sealed_wire_crc(*wire.wire);
-        assert(wire.crc == format::crc32c(*wire.wire));
         stats.combine_seconds = combine.seconds();
         // Publish to the cache before retiring the flight, so a request
         // arriving between the two hits the cache instead of recombining.
@@ -594,7 +601,7 @@ ServedWire ContentServer::serve_shared(const Prepared& p, ServeStats& stats,
         // served for the successor, so the cost is transient bytes, not
         // staleness.)
         if (store_.is_current(*p.asset))
-            cache_.put(p.key, p.parallelism, wire.wire, wire.splits, wire.crc);
+            cache_.put(p.key, p.parallelism, wire.wire, wire.splits);
     } catch (const ProtocolError& e) {
         retire_flight(flight_key, flight, nullptr, e.code(), e.what());
         throw;

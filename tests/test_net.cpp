@@ -148,6 +148,31 @@ TEST(FrameReader, OversizedAnnouncementRejectedAtPrefixTime) {
     EXPECT_THROW(reader.feed(std::span<const u8>(prefix + 3, 1)), NetError);
 }
 
+TEST(FrameReader, FedAnnouncementCostsOnlyTheBytesThatArrived) {
+    // A prefix announcing the whole cap plus one byte: a reader fed by copy
+    // holds what arrived, and buffered_bytes() counts what it holds.
+    constexpr u32 kCap = 1u << 20;
+    FrameReader reader(kCap);
+    const u8 start[5] = {0x00, 0x00, 0x10, 0x00, 0xAB};
+    reader.feed(start);
+    EXPECT_LE(reader.buffered_bytes(), 16u);
+    // Growing by what arrives never holds more than the announced frame.
+    const std::vector<u8> rest(kCap - 1, 0xCD);
+    for (std::size_t off = 0; off < rest.size(); off += 4096) {
+        const std::size_t n = std::min<std::size_t>(4096, rest.size() - off);
+        reader.feed(std::span<const u8>(rest).subspan(off, n));
+        ASSERT_LE(reader.buffered_bytes(), 4 + kCap);
+        ASSERT_GE(reader.buffered_bytes(), 1 + off + n);
+    }
+    auto frame = reader.next();
+    ASSERT_TRUE(frame.has_value());
+    EXPECT_EQ(frame->size(), kCap);
+    EXPECT_EQ((*frame)[0], 0xAB);
+    EXPECT_EQ(frame->back(), 0xCD);
+    EXPECT_EQ(reader.buffered_bytes(), 0u);
+    EXPECT_TRUE(reader.empty());
+}
+
 TEST_F(NetFixture, StreamedFramesSurviveByteAtATimeTransport) {
     // End-to-end fragmentation torture: a full v2 stream's transport bytes
     // fed one byte at a time must reassemble bit-exactly with v1.
@@ -523,6 +548,25 @@ TEST_F(NetFixture, HostileTransportFrameClosesConnection) {
         recv_some(sock.get(), buf, Deadline::after(std::chrono::seconds(10)));
     EXPECT_EQ(n, 0u);
     EXPECT_GE(runner.daemon.stats().protocol_errors, 1u);
+}
+
+TEST_F(NetFixture, LargeRequestAnnouncementIsAccountedAtItsArrivedBytes) {
+    // A peer announcing a request of the full 1 MiB cap and sending one
+    // byte of it holds a few bytes of daemon memory, and the connection
+    // buffer gauge reports exactly that.
+    DaemonOptions dopt;
+    ASSERT_EQ(dopt.max_request_frame, 1u << 20);
+    DaemonRunner runner(server, dopt);
+    Fd sock = connect_tcp("127.0.0.1", runner.daemon.port(), Deadline::none());
+    const u8 start[5] = {0x00, 0x00, 0x10, 0x00, 0x52};
+    send_all(sock.get(), start, Deadline::none());
+    const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (runner.daemon.stats().conn_buffer_peak_bytes < sizeof(start) &&
+           std::chrono::steady_clock::now() < give_up)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_GE(runner.daemon.stats().conn_buffer_peak_bytes, sizeof(start));
+    EXPECT_LE(runner.daemon.stats().conn_buffer_peak_bytes, 64u);
+    EXPECT_EQ(runner.daemon.stats().protocol_errors, 0u);
 }
 
 TEST_F(NetFixture, MalformedProtocolFrameGetsTypedErrorResponse) {

@@ -255,6 +255,40 @@ TEST(Protocol, FrameBytesArePinned) {
     expect_pin(encode_stream_fin(fin), {37, 0xc9e8484fu}, "v2 FIN");
 }
 
+TEST(Protocol, TrailerIsTheSameWhetherItsCrcIsCombinedOrHashed) {
+    // Frame builders combine a known payload CRC into the trailer only for
+    // payloads of at least kCrc32cCombineMinBytes and hash shorter ones;
+    // either way the bytes match, and the decoder recovers a body's CRC
+    // exactly when the payload is long enough to combine.
+    constexpr std::size_t kMin = format::kCrc32cCombineMinBytes;
+    std::vector<u8> payload(3 * kMin);
+    for (std::size_t i = 0; i < payload.size(); ++i)
+        payload[i] = static_cast<u8>(i * 151 + 3);
+    for (const std::size_t len : {std::size_t{1}, kMin - 1, kMin, kMin + 1, 3 * kMin}) {
+        const std::span<const u8> p = std::span<const u8>(payload).first(len);
+        const u32 crc = format::crc32c(p);
+        const auto body = [&](std::optional<u32> known) {
+            return stream_body_frame(5, {format::ByteBuffer::view(p, nullptr)}, known)
+                .materialize();
+        };
+        const std::vector<u8> frame = body(crc);
+        EXPECT_EQ(frame, body(std::nullopt)) << len;
+        EXPECT_EQ(frame, encode_stream_body(5, p)) << len;
+        const StreamFrame f = decode_stream_frame(frame);
+        EXPECT_EQ(f.payload_crc.has_value(), len >= kMin) << len;
+        if (f.payload_crc) EXPECT_EQ(*f.payload_crc, crc) << len;
+
+        ServeResult res;
+        res.code = ErrorCode::ok;
+        res.payload = PayloadKind::file;
+        res.wire = std::make_shared<const std::vector<u8>>(p.begin(), p.end());
+        const std::vector<u8> hashed = encode_response(res);
+        res.wire_crc = crc;
+        EXPECT_EQ(encode_response(res), hashed) << len;
+        EXPECT_EQ(*decode_response(hashed).wire, *res.wire) << len;
+    }
+}
+
 TEST(Protocol, ServeFrameSpeaksTheProtocolEndToEnd) {
     ContentServer server;
     auto data = test::geometric_symbols<u8>(50000, 0.6, 256, 21);
